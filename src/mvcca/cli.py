@@ -10,9 +10,11 @@ seed every subcommand is byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import retrieval, synth
 from .linalg import (RankDeficiencyError, load_dense_csv, load_matrix_market,
                      save_dense_csv, save_matrix_market)
-from .regularizers import KINDS, Regularizer
+from .regularizers import Regularizer
 from .solver import (EmptyViewError, RegularityError, SolverConfig,
                      StepSizeError, Trace, run_admm, run_pdd,
                      validate_dimensions)
@@ -48,36 +50,30 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (caster, default); None default means the key must be given
+def _field_keys(prefix: str, cls) -> dict[str, tuple]:
+    """One key per dataclass field, cast by its annotated type.
+
+    ``X | None`` fields cast as X; the field's default is the key's.
+    """
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        caster = next((t for t in typing.get_args(hint)
+                       if t is not type(None)), hint)
+        keys[f"{prefix}.{f.name}"] = (_bool if caster is bool else caster,
+                                      f.default)
+    return keys
+
+
+# key -> (caster, default); a MISSING default means the key must be
+# given, a None default means unset
 _BASE_KEYS = {
-    "solver.mode": (str, "pdd"),
-    "solver.k": (int, None),
-    "solver.rho0": (float, 2.0),
-    "solver.c": (float, 0.9),
-    "solver.eta0": (float, 100.0),
-    "solver.eps0": (float, 1e-2),
-    "solver.eps_decay": (float, 0.9),
-    "solver.sub_max_sweeps": (int, 5),
-    "solver.q_steps": (int, 1),
-    "solver.outer_max": (int, 500),
-    "solver.tol_feas": (float, -1.0),
-    "solver.tol_change": (float, 1e-6),
-    "solver.safety": (float, 0.9),
-    "solver.seed": (int, 0),
-    "solver.power_iters": (int, 100),
-    "solver.check_descent": (_bool, True),
-    "solver.virtual_clock": (_bool, False),
+    **_field_keys("solver", SolverConfig),
     "reg.kind": (str, "none"),
     "reg.lambda": (float, 0.0),
     "reg.mu": (float, 0.0),
-    "synth.rows": (int, None),
-    "synth.features": (int, None),
-    "synth.views": (int, None),
-    "synth.components": (int, 5),
-    "synth.density": (float, None),
-    "synth.outliers": (int, 0),
-    "synth.noise_var": (float, 0.01),
-    "synth.seed": (int, 0),
+    **_field_keys("synth", synth.SynthSpec),
     "retrieval.bits": (int, 19),
     "retrieval.hash_seed": (int, 0),
     "io.data_dir": (str, ""),
@@ -112,25 +108,21 @@ class RunConfig:
     def get(self, key: str):
         if key in self.values:
             return self.values[key]
-        caster, default = _BASE_KEYS[key]
-        if default is None:
+        default = _BASE_KEYS[key][1]
+        if default is dataclasses.MISSING:
             raise ConfigError(f"missing required config key {key!r}")
         return default
-
-    def has(self, key: str) -> bool:
-        return key in self.values
 
     def set(self, key: str, value) -> None:
         self.values[key] = value
 
     def resolved(self, prefixes: tuple[str, ...]) -> dict[str, object]:
         out = {}
-        for key, (caster, default) in _BASE_KEYS.items():
+        for key, (_, default) in _BASE_KEYS.items():
             if key.startswith(prefixes):
-                if key in self.values:
-                    out[key] = self.values[key]
-                elif default is not None:
-                    out[key] = default
+                value = self.values.get(key, default)
+                if value is not None and value is not dataclasses.MISSING:
+                    out[key] = value
         for key, val in self.values.items():
             if _PER_VIEW_REG.match(key) and key.startswith(prefixes):
                 out[key] = val
@@ -170,26 +162,17 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-def _fmt_float(v: float) -> str:
-    return "%.17g" % v
-
-
 def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
-    base = Regularizer(kind=cfg.get("reg.kind"),
-                       lam=cfg.get("reg.lambda"),
-                       mu=cfg.get("reg.mu"))
-    regs = []
-    for i in range(n_views):
-        kind = cfg.values.get(f"reg.{i}.kind", base.kind)
-        lam = cfg.values.get(f"reg.{i}.lambda", base.lam)
-        mu = cfg.values.get(f"reg.{i}.mu", base.mu)
-        try:
-            regs.append(Regularizer(kind=kind, lam=lam, mu=mu))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if base.kind not in KINDS:
-        raise ConfigError(f"unknown regularizer kind {base.kind!r}")
-    return regs
+    try:
+        base = Regularizer(kind=cfg.get("reg.kind"),
+                           lam=cfg.get("reg.lambda"),
+                           mu=cfg.get("reg.mu"))
+        return [Regularizer(kind=cfg.values.get(f"reg.{i}.kind", base.kind),
+                            lam=cfg.values.get(f"reg.{i}.lambda", base.lam),
+                            mu=cfg.values.get(f"reg.{i}.mu", base.mu))
+                for i in range(n_views)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -246,12 +229,18 @@ def _read_index_sets(path: Path):
     return signal, outlier
 
 
+def _from_keys(cls, prefix: str, cfg: RunConfig):
+    """Build a config dataclass from its ``<prefix>.<field>`` keys."""
+    kwargs = {f.name: cfg.get(f"{prefix}.{f.name}")
+              for f in dataclasses.fields(cls)}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
-    spec = synth.SynthSpec(
-        rows=cfg.get("synth.rows"), features=cfg.get("synth.features"),
-        views=cfg.get("synth.views"), components=cfg.get("synth.components"),
-        density=cfg.get("synth.density"), outliers=cfg.get("synth.outliers"),
-        noise_var=cfg.get("synth.noise_var"), seed=cfg.get("synth.seed"))
+    spec = _from_keys(synth.SynthSpec, "synth", cfg)
     if spec.outliers > 0:
         views, idx = synth.gen_with_outliers(spec)
         signal, outlier = idx.signal, idx.outlier
@@ -266,36 +255,10 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
     _echo_config(out_dir / "spec.cfg", cfg.resolved(("synth.",)))
 
 
-def _solver_config(cfg: RunConfig, threads: int) -> SolverConfig:
-    tol_feas = cfg.get("solver.tol_feas")
-    try:
-        return SolverConfig(
-            k=cfg.get("solver.k"),
-            rho0=cfg.get("solver.rho0"),
-            c=cfg.get("solver.c"),
-            eta0=cfg.get("solver.eta0"),
-            eps0=cfg.get("solver.eps0"),
-            eps_decay=cfg.get("solver.eps_decay"),
-            sub_max_sweeps=cfg.get("solver.sub_max_sweeps"),
-            q_steps=cfg.get("solver.q_steps"),
-            outer_max=cfg.get("solver.outer_max"),
-            tol_feas=None if tol_feas < 0 else tol_feas,
-            tol_change=cfg.get("solver.tol_change"),
-            safety=cfg.get("solver.safety"),
-            mode=cfg.get("solver.mode"),
-            seed=cfg.get("solver.seed"),
-            power_iters=cfg.get("solver.power_iters"),
-            threads=threads,
-            check_descent=cfg.get("solver.check_descent"),
-            virtual_clock=cfg.get("solver.virtual_clock"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def cmd_solve(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     paths = _view_paths(cfg)
     views = _load_views(paths)
-    config = _solver_config(cfg, threads)
+    config = _from_keys(SolverConfig, "solver", cfg)
     regs = _regularizers(cfg, len(views))
     validate_dimensions(views, config.k)
     runner = run_pdd if config.mode == "pdd" else run_admm
@@ -328,16 +291,16 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
 
     _, percent = synth.total_correlation(views, factors)
     m1 = synth.metric1(views, factors, signal)
-    m2 = "" if outlier.size == 0 else _fmt_float(
+    m2 = "" if outlier.size == 0 else fmt_value(
         synth.metric2(factors, outlier))
     t95 = synth.time_to_fraction(trace, 0.95)
-    t95_text = "inf" if t95 is None else _fmt_float(t95)
+    t95_text = "inf" if t95 is None else fmt_value(t95)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report = out_dir / "report.csv"
     report.write_text(
         "total_corr_percent,metric1,metric2,time95\n"
-        f"{_fmt_float(percent)},{_fmt_float(m1)},{m2},{t95_text}\n",
+        f"{fmt_value(percent)},{fmt_value(m1)},{m2},{t95_text}\n",
         encoding="ascii")
     _echo_config(out_dir / "resolved.cfg", cfg.resolved(("io.",)))
 
@@ -364,12 +327,12 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
     lines = ["query_view,gallery_view,aroc,nn_freq"]
     for p in result.pairs:
         lines.append(f"{p.query_view},{p.gallery_view},"
-                     f"{_fmt_float(p.aroc)},{_fmt_float(p.nn_freq)}")
-    lines.append(f"avg,avg,{_fmt_float(result.mean_aroc)},"
-                 f"{_fmt_float(result.mean_nn_freq)}")
+                     f"{fmt_value(p.aroc)},{fmt_value(p.nn_freq)}")
+    lines.append(f"avg,avg,{fmt_value(result.mean_aroc)},"
+                 f"{fmt_value(result.mean_nn_freq)}")
     (out_dir / "pairs.csv").write_text("\n".join(lines) + "\n",
                                        encoding="ascii")
-    _echo_config(out_dir / "resolved.cfg", cfg.resolved(("io", "retrieval.")))
+    _echo_config(out_dir / "resolved.cfg", cfg.resolved(("io.", "retrieval.")))
 
 
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
@@ -396,7 +359,6 @@ def _parse_args(argv):
                                  "eval-retrieval", "hash"])
     parser.add_argument("--config", required=True, help="key=value file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override solver.seed and synth.seed")
     parser.add_argument("--verbose", action="store_true")
@@ -413,13 +375,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.set("solver.seed", args.seed)
             cfg.set("synth.seed", args.seed)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         out_dir = Path(args.out)
         if args.command == "synth":
             cmd_synth(cfg, out_dir)
         elif args.command == "solve":
-            cmd_solve(cfg, out_dir, args.threads)
+            cmd_solve(cfg, out_dir)
         elif args.command == "metrics":
             cmd_metrics(cfg, out_dir)
         elif args.command == "eval-retrieval":

@@ -11,7 +11,6 @@ updates, metrics, retrieval projections) goes through ``spmm_right`` /
 from __future__ import annotations
 
 import logging
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -314,6 +313,10 @@ def load_dense_csv(path) -> np.ndarray:
     return arr
 
 
-def stack_views(views: Sequence[SparseView]) -> sp.csr_matrix:
-    """Horizontally concatenate raw view matrices (testing/diagnostics)."""
-    return sp.hstack([v.raw for v in views]).tocsr()
+def pairwise_inner_sum(mats) -> float:
+    """Sum of <A_i, A_j> over unordered pairs i < j, in ascending order."""
+    val = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            val += float(np.sum(mats[i] * mats[j]))
+    return val

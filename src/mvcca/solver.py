@@ -6,29 +6,26 @@ orthonormal latent blocks G_i tied by the slack constraints
 (prox-gradient steps on every Q_i, then a polar-factor update of every
 G_i) with a feasibility test: when the slack residual is small enough
 the duals take an ascent step, otherwise the penalty weight grows.  A
-plain ADMM driver with fixed penalty shares the exact same block
-updates and is kept as a baseline; it has no convergence guarantee on
-this nonconvex problem.
+plain ADMM driver with fixed penalty is the same loop with one sweep
+and a dual step at every outer iteration, kept as a baseline; it has no
+convergence guarantee on this nonconvex problem.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import regularizers as rg
-from .linalg import (SparseView, polar_factor, spectral_norm_sq, spmm_left_t,
-                     spmm_right)
+from .linalg import (SparseView, pairwise_inner_sum, polar_factor,
+                     spectral_norm_sq, spmm_left_t, spmm_right)
 
 logger = logging.getLogger(__name__)
-
-# flips on the per-block objective assertions inside update_q (slow)
-DEBUG_BLOCK_CHECKS = False
 
 TRACE_COLUMNS = ("iter", "seconds", "rho", "primal_residual", "lagrangian",
                  "total_correlation")
@@ -52,7 +49,7 @@ class SolverConfig:
 
     ``eta0`` sets the feasibility schedule eta(r) = eta0 / r that gates
     dual updates; ``eps0``/``eps_decay`` set the sub-solver accuracy
-    schedule eps(r) = eps0 * eps_decay**r.  ``tol_feas`` defaults to
+    schedule eps(r) = eps0 * eps_decay**r.  ``tol_feas`` = None means
     1e-6 * L * K at run time.
     """
 
@@ -71,7 +68,6 @@ class SolverConfig:
     mode: str = "pdd"
     seed: int = 0
     power_iters: int = 100
-    threads: int = 1
     check_descent: bool = True
     virtual_clock: bool = False
 
@@ -86,9 +82,10 @@ class SolverConfig:
             raise ValueError("schedules must start positive")
         if not 0.0 < self.eps_decay < 1.0:
             raise ValueError("eps_decay must be in (0, 1)")
-        if min(self.sub_max_sweeps, self.q_steps, self.outer_max,
-               self.threads) < 1:
+        if min(self.sub_max_sweeps, self.q_steps, self.outer_max) < 1:
             raise ValueError("counts must be >= 1")
+        if self.tol_feas is not None and self.tol_feas < 0:
+            raise ValueError("tol_feas must be >= 0")
         if self.mode not in ("pdd", "admm"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -276,21 +273,6 @@ def step_size(i: int, state: SolverState, rho: float,
     return safety / ((state.num_views - 1 + rho) * sigma)
 
 
-def _block_objective(i: int, state: SolverState, rho: float,
-                     reg: rg.Regularizer) -> float:
-    val = 0.0
-    for j in range(state.num_views):
-        if j != i:
-            diff = state.p[i] - state.g[j]
-            val += 0.5 * float(np.sum(diff * diff))
-    slack = state.p[i] - state.g[i] + state.y[i] / rho
-    val += 0.5 * rho * float(np.sum(slack * slack))
-    # the prox convention weights the penalty at half; that is the
-    # quantity a correctly sized step provably decreases
-    val += 0.5 * rg.penalty_value(reg, state.q[i])
-    return val
-
-
 def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
              q_steps: int = 1, safety: float = 0.9) -> np.ndarray:
     """Prox-gradient step(s) on Q_i with all G blocks frozen.
@@ -300,18 +282,12 @@ def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
     P_i = X_i Q_i.
     """
     alpha = step_size(i, state, rho, safety)
-    if DEBUG_BLOCK_CHECKS:
-        before = _block_objective(i, state, rho, reg)
     for _ in range(q_steps):
         grad = grad_q(i, state, rho)
         if not np.all(np.isfinite(grad)):
             raise ValueError("non-finite gradient in Q update")
         state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
         state.p[i] = spmm_right(state.views[i], state.q[i])
-    if DEBUG_BLOCK_CHECKS:
-        after = _block_objective(i, state, rho, reg)
-        assert after <= before + 1e-9 * max(1.0, abs(before)), \
-            f"block {i} objective rose {before:.12g} -> {after:.12g}"
     return state.q[i]
 
 
@@ -400,23 +376,23 @@ def _as_reg_list(regs, n: int) -> list[rg.Regularizer]:
     return regs
 
 
-def _foreach_view(pool, n: int, fn: Callable[[int], object]) -> None:
-    if pool is None:
-        for i in range(n):
-            fn(i)
-    else:
-        list(pool.map(fn, range(n)))
+def _max_change(state: SolverState, q_prev, g_prev) -> float:
+    """Largest entrywise change of any Q_i or G_i since the snapshots."""
+    delta = 0.0
+    for i in range(state.num_views):
+        delta = max(delta,
+                    float(np.max(np.abs(state.q[i] - q_prev[i]))),
+                    float(np.max(np.abs(state.g[i] - g_prev[i]))))
+    return delta
 
 
 def run_subsolver(state: SolverState, rho: float, eps_r: float,
                   max_sweeps: int, regs=None, q_steps: int = 1,
-                  safety: float = 0.9, pool=None,
-                  check_descent: bool = True) -> int:
+                  safety: float = 0.9, check_descent: bool = True) -> int:
     """Inexact alternating sweeps at fixed duals and penalty.
 
-    Each sweep updates every Q_i (all G frozen; the per-view updates are
-    independent and may run in parallel), then every G_i from the fresh
-    caches.  Sweeping stops when the largest entrywise change of any
+    Each sweep updates every Q_i (all G frozen), then every G_i from the
+    fresh caches.  Sweeping stops when the largest entrywise change of any
     iterate drops to ``eps_r`` or after ``max_sweeps``.  Returns the
     number of sweeps taken.
 
@@ -432,9 +408,10 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     for sweep in range(1, max_sweeps + 1):
         q_prev = [a.copy() for a in state.q]
         g_prev = [a.copy() for a in state.g]
-        _foreach_view(pool, n,
-                      lambda i: update_q(i, state, rho, regs[i], q_steps, safety))
-        _foreach_view(pool, n, lambda i: update_g(i, state, rho))
+        for i in range(n):
+            update_q(i, state, rho, regs[i], q_steps, safety)
+        for i in range(n):
+            update_g(i, state, rho)
         if check_descent:
             cur = _monotone_objective(state, rho, regs)
             if cur > prev + 1e-9 * max(1.0, abs(prev)):
@@ -442,26 +419,20 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
                     f"step size violation: sub-solver objective rose "
                     f"{prev:.12g} -> {cur:.12g}")
             prev = cur
-        delta = 0.0
-        for i in range(n):
-            delta = max(delta,
-                        float(np.max(np.abs(state.q[i] - q_prev[i]))),
-                        float(np.max(np.abs(state.g[i] - g_prev[i]))))
-        if delta <= eps_r:
+        if _max_change(state, q_prev, g_prev) <= eps_r:
             return sweep
     return max_sweeps
 
 
-def _corr_from_caches(state: SolverState) -> float:
-    val = 0.0
-    n = state.num_views
-    for i in range(n):
-        for j in range(i + 1, n):
-            val += float(np.sum(state.p[i] * state.p[j]))
-    return 2.0 * val
+def _run(views, config: SolverConfig, regs, init, max_sweeps: int,
+         eps: Callable[[int], float], eta: Callable[[int], float]):
+    """Outer loop shared by both drivers.
 
-
-def _run(views, config: SolverConfig, regs, init, adaptive: bool):
+    Outer iteration r runs the sub-solver for at most ``max_sweeps``
+    sweeps to accuracy ``eps(r)``, then takes a dual step when the slack
+    residual is within ``eta(r)`` and grows the penalty otherwise.
+    """
+    start = time.perf_counter()
     views = list(views)
     validate_dimensions(views, config.k)
     n = len(views)
@@ -477,50 +448,29 @@ def _run(views, config: SolverConfig, regs, init, adaptive: bool):
     tol_feas = (config.tol_feas if config.tol_feas is not None
                 else 1e-6 * l_rows * config.k)
     trace = Trace(config.k * n * (n - 1))
-    pool = (ThreadPoolExecutor(max_workers=config.threads)
-            if config.threads > 1 else None)
-    start = time.perf_counter()
 
-    def record(r: int) -> None:
+    def record(r: int, residual: float) -> None:
         seconds = float(r) if config.virtual_clock \
             else time.perf_counter() - start
-        trace.append(TraceRow(r, seconds, state.rho, primal_residual(state),
+        trace.append(TraceRow(r, seconds, state.rho, residual,
                               lagrangian_value(state, state.rho, regs),
-                              _corr_from_caches(state)))
+                              2.0 * pairwise_inner_sum(state.p)))
 
-    try:
-        record(0)
-        for r in range(1, config.outer_max + 1):
-            q_prev = [a.copy() for a in state.q]
-            g_prev = [a.copy() for a in state.g]
-            if adaptive:
-                run_subsolver(state, state.rho, config.eps(r),
-                              config.sub_max_sweeps, regs, config.q_steps,
-                              config.safety, pool, config.check_descent)
-                res = primal_residual(state)
-                dual_or_penalty_step(state, res, config.eta(r), config.c)
-            else:
-                _foreach_view(pool, n, lambda i: update_q(
-                    i, state, state.rho, regs[i], config.q_steps,
-                    config.safety))
-                _foreach_view(pool, n, lambda i: update_g(i, state, state.rho))
-                res = primal_residual(state)
-                for i in range(n):
-                    state.y[i] += state.rho * (state.p[i] - state.g[i])
-            record(r)
-            change = 0.0
-            for i in range(n):
-                change = max(
-                    change,
-                    float(np.max(np.abs(state.q[i] - q_prev[i]))),
-                    float(np.max(np.abs(state.g[i] - g_prev[i]))))
-            if res <= tol_feas and change <= config.tol_change:
-                logger.info("converged at outer iteration %d "
-                            "(residual %.3g, change %.3g)", r, res, change)
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    record(0, primal_residual(state))
+    for r in range(1, config.outer_max + 1):
+        q_prev = [a.copy() for a in state.q]
+        g_prev = [a.copy() for a in state.g]
+        run_subsolver(state, state.rho, eps(r), max_sweeps, regs,
+                      config.q_steps, config.safety, config.check_descent)
+        # neither step below moves P or G, so the residual stays current
+        res = primal_residual(state)
+        dual_or_penalty_step(state, res, eta(r), config.c)
+        record(r, res)
+        change = _max_change(state, q_prev, g_prev)
+        if res <= tol_feas and change <= config.tol_change:
+            logger.info("converged at outer iteration %d "
+                        "(residual %.3g, change %.3g)", r, res, change)
+            break
     return state, trace
 
 
@@ -528,16 +478,24 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     """Adaptive-penalty driver: sub-solver sweeps plus dual/penalty steps.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
-    the per-iteration trace.  Deterministic given the config seed.
+    the per-iteration trace.  Deterministic given the config seed.  The
+    trace clock starts at the call, so its seconds include the start
+    point and the spectral-norm estimates.
     """
-    return _run(views, config, regs, init, adaptive=True)
+    return _run(views, config, regs, init, config.sub_max_sweeps,
+                config.eps, config.eta)
+
+
+def _unbounded(r: int) -> float:
+    return math.inf
 
 
 def run_admm(views, config: SolverConfig, regs=None, init=None):
     """Fixed-penalty baseline: one Q pass, one G pass, dual step per cycle.
 
-    Shares every block update with :func:`run_pdd` but never adapts the
-    penalty weight, and carries no convergence guarantee on this
-    nonconvex problem.
+    The :func:`run_pdd` loop with a single sweep and no accuracy or
+    feasibility target, so every outer step is a dual step and the
+    penalty weight never changes.  Carries no convergence guarantee on
+    this nonconvex problem.
     """
-    return _run(views, config, regs, init, adaptive=False)
+    return _run(views, config, regs, init, 1, _unbounded, _unbounded)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseView, spmm_right
+from .linalg import SparseView, pairwise_inner_sum, spmm_right
 from .solver import Trace
 
 _DENSITY_RTOL = 0.2
@@ -198,11 +198,7 @@ def total_correlation(views, factors) -> tuple[float, float]:
     products = [spmm_right(v, q) for v, q in zip(views, factors)]
     n = len(products)
     k = np.asarray(factors[0]).shape[1]
-    raw = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            raw += float(np.sum(products[i] * products[j]))
-    raw *= 2.0
+    raw = 2.0 * pairwise_inner_sum(products)
     ideal = k * n * (n - 1)
     return raw, 100.0 * raw / ideal
 
@@ -223,11 +219,8 @@ def metric1(views, factors, signal_idx) -> float:
         for v, q in zip(views, factors)]
     n = len(products)
     k = np.asarray(factors[0]).shape[1]
-    val = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            val += float(np.sum(products[i] * products[j]))
-    return 2.0 * val * 100.0 / (k * n * (n - 1))
+    return (2.0 * pairwise_inner_sum(products) * 100.0
+            / (k * n * (n - 1)))
 
 
 def metric2(factors, outlier_idx) -> float:

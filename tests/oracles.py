@@ -7,6 +7,7 @@ verify.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def materialize(view):
@@ -17,6 +18,11 @@ def materialize(view):
     if view.scale_flag:
         dense = dense / np.sqrt(dense.shape[0])
     return dense
+
+
+def stack_views(views):
+    """Horizontally concatenate the raw view matrices."""
+    return sp.hstack([v.raw for v in views]).tocsr()
 
 
 def random_stiefel(rng, rows, cols, count):

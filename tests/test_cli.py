@@ -1,13 +1,20 @@
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mvcca.cli import main
+from mvcca.cli import fmt_value, main
 from mvcca.linalg import load_dense_csv, load_matrix_market
 from mvcca.retrieval import HashSpec, hash_corpus
-from mvcca.solver import Trace
+from mvcca.solver import SolverConfig, Trace
+from mvcca.synth import SynthSpec
+
+
+def read_echo(path):
+    return dict(line.split(" = ", 1)
+                for line in path.read_text(encoding="utf-8").splitlines())
 
 
 def run_cli(*args):
@@ -284,6 +291,17 @@ class TestConfigParsing:
         assert main(["solve", "--config", cfg2,
                      "--out", str(tmp_path / "run2")]) == 0
 
+    @pytest.mark.parametrize("reg", ["reg.kind = bogus",
+                                     "reg.1.kind = bogus",
+                                     "reg.lambda = -1"])
+    def test_bad_penalty_is_config_error(self, tmp_path, synth_dir, reg):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir) + reg + "\n")
+        code, _, err = run_cli("solve", "--config", cfg,
+                               "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "config error" in err
+
     def test_per_view_reg_keys_accepted(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir)
@@ -291,3 +309,98 @@ class TestConfigParsing:
                         + "reg.1.kind = l21\nreg.1.lambda = 0.05\n")
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 0
+
+
+class TestKeysMirrorDataclasses:
+    """solver.* and synth.* are the fields of SolverConfig and SynthSpec."""
+
+    @staticmethod
+    def check_defaults_echoed(cls, prefix, echo, given):
+        for f in dataclasses.fields(cls):
+            key = f"{prefix}.{f.name}"
+            if f.name in given:
+                continue
+            if f.default is None:
+                assert key not in echo
+            else:
+                assert echo[key] == fmt_value(f.default), key
+
+    def test_solver_defaults_echoed(self, tmp_path, synth_dir):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        f"solver.k = 3\nsolver.outer_max = 2\n"
+                        f"io.data_dir = {synth_dir}\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(run_dir)]) == 0
+        self.check_defaults_echoed(SolverConfig, "solver",
+                                   read_echo(run_dir / "resolved.cfg"),
+                                   ("k", "outer_max"))
+
+    def test_every_solver_field_accepted(self, tmp_path, synth_dir):
+        given = {"k": 3, "outer_max": 2, "tol_feas": 1e-3}
+        lines = [f"solver.{f.name} = "
+                 f"{fmt_value(given.get(f.name, f.default))}"
+                 for f in dataclasses.fields(SolverConfig)]
+        cfg = write_cfg(tmp_path / "solve.cfg", "\n".join(lines)
+                        + f"\nio.data_dir = {synth_dir}\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(run_dir)]) == 0
+        echo = read_echo(run_dir / "resolved.cfg")
+        for line in lines:
+            key, value = line.split(" = ")
+            assert echo[key] == value
+
+    def test_synth_defaults_echoed(self, tmp_path):
+        cfg = write_cfg(tmp_path / "synth.cfg",
+                        "synth.rows = 200\nsynth.features = 50\n"
+                        "synth.views = 2\n")
+        out = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        echo = read_echo(out / "spec.cfg")
+        assert echo["synth.density"] == fmt_value(1e-2)
+        self.check_defaults_echoed(SynthSpec, "synth", echo,
+                                   ("rows", "features", "views"))
+
+    def test_every_synth_field_accepted(self, tmp_path):
+        given = {"rows": 60, "features": 20, "views": 2, "density": 0.1}
+        lines = [f"synth.{f.name} = "
+                 f"{fmt_value(given.get(f.name, f.default))}"
+                 for f in dataclasses.fields(SynthSpec)]
+        cfg = write_cfg(tmp_path / "synth.cfg", "\n".join(lines) + "\n")
+        out = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        echo = read_echo(out / "spec.cfg")
+        for line in lines:
+            key, value = line.split(" = ")
+            assert echo[key] == value
+
+    def test_resolved_config_reproduces_trace(self, tmp_path, synth_dir):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir)
+                        + "solver.virtual_clock = true\n"
+                        + "reg.kind = l21\nreg.lambda = 0.01\n"
+                        + "reg.1.lambda = 0.02\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["solve", "--config", cfg, "--out", str(first)]) == 0
+        assert "solver.tol_feas" not in read_echo(first / "resolved.cfg")
+        assert main(["solve", "--config", str(first / "resolved.cfg"),
+                     "--out", str(second)]) == 0
+        for name in ("trace.csv", "resolved.cfg", "Q_1.csv", "G_1.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_negative_tol_feas_rejected(self, tmp_path, synth_dir):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir)
+                        + "solver.tol_feas = -1\n")
+        code, _, err = run_cli("solve", "--config", cfg,
+                               "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "tol_feas" in err
+
+    def test_threads_flag_rejected(self, tmp_path, synth_dir):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir))
+        code, _, err = run_cli("solve", "--config", cfg,
+                               "--out", str(tmp_path / "run"),
+                               "--threads", "2")
+        assert code == 2
+        assert "--threads" in err

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mvcca.linalg import SparseView, save_matrix_market, stack_views
+from mvcca.linalg import SparseView, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.solver import SolverConfig, Trace, TraceRow, run_pdd
 from mvcca.synth import (IndexSets, SynthSpec, _gen_clean_parts,
                          gen_shared_factor, gen_with_outliers, metric1,
                          metric2, time_to_fraction, total_correlation)
 
-from oracles import materialize, random_stiefel
+from oracles import materialize, random_stiefel, stack_views
 
 
 class TestSpecValidation:
