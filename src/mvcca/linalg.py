@@ -56,8 +56,10 @@ class SparseView:
         if not np.all(np.isfinite(coo.data)):
             raise ValueError("view contains non-finite values")
         if coo.nnz:
-            keys = coo.row.astype(np.int64) * coo.shape[1] + coo.col
-            if np.unique(keys).size != keys.size:
+            # a sort plus an adjacent test: np.unique on int64 keys takes a
+            # hash path that costs tens of times more
+            keys = np.sort(coo.row.astype(np.int64) * coo.shape[1] + coo.col)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (row, col) entries in view")
         self.raw = coo.tocsr()
         self.raw.sort_indices()
@@ -207,7 +209,8 @@ def polar_factor(m, gram_jitter: float = 0.0) -> np.ndarray:
         raise RankDeficiencyError("rank-deficient polar input")
 
     inv_sigma = 1.0 / np.sqrt(evals)
-    g = (m @ vecs) * inv_sigma @ vecs.T
+    # fold V diag(1/sigma) V^T at K x K size: one L x K x K product
+    g = m @ ((vecs * inv_sigma) @ vecs.T)
 
     err = np.linalg.norm(g.T @ g - np.eye(k))
     if err > 1e-12:
@@ -314,9 +317,14 @@ def load_dense_csv(path) -> np.ndarray:
 
 
 def pairwise_inner_sum(mats) -> float:
-    """Sum of <A_i, A_j> over unordered pairs i < j, in ascending order."""
-    val = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            val += float(np.sum(mats[i] * mats[j]))
-    return val
+    """Sum of <A_i, A_j> over unordered pairs i < j.
+
+    Uses sum_{i<j} <A_i, A_j> = (||sum_i A_i||^2 - sum_i ||A_i||^2) / 2,
+    so one pass over the matrices replaces the loop over pairs.
+    """
+    total = np.zeros_like(mats[0], dtype=np.float64)
+    squares = 0.0
+    for a in mats:
+        total += a
+        squares += float(np.vdot(a, a))
+    return 0.5 * (float(np.vdot(total, total)) - squares)

@@ -56,8 +56,14 @@ def hash_featurize(tokens, spec: HashSpec) -> sp.csr_matrix:
     expected inner product of two hashed rows equals the bag-of-words
     inner product.  An empty sequence gives the zero row.
     """
+    return _hash_row(tokens, spec, {})
+
+
+def _hash_row(tokens, spec: HashSpec,
+              memo: dict[str, tuple[int, float]]) -> sp.csr_matrix:
+    # ``memo`` maps tokens to their (slot, sign); a corpus shares one, so
+    # each distinct token is hashed once
     accum: dict[int, float] = {}
-    memo: dict[str, tuple[int, float]] = {}
     for tok in tokens:
         hit = memo.get(tok)
         if hit is None:
@@ -76,7 +82,8 @@ def hash_featurize(tokens, spec: HashSpec) -> sp.csr_matrix:
 
 def hash_corpus(documents, spec: HashSpec) -> SparseView:
     """Hash a sequence of token lists into one view, one row per document."""
-    rows = [hash_featurize(doc, spec) for doc in documents]
+    memo: dict[str, tuple[int, float]] = {}
+    rows = [_hash_row(doc, spec, memo) for doc in documents]
     if not rows:
         raise ValueError("empty corpus")
     return SparseView(sp.vstack(rows).tocsr())

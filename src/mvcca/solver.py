@@ -93,7 +93,8 @@ class SolverConfig:
         return self.eta0 / max(r, 1)
 
     def eps(self, r: int) -> float:
-        return self.eps0 * self.eps_decay ** r
+        # floored so a long solve never asks the sub-solver for eps = 0
+        return max(self.eps0 * self.eps_decay ** r, np.finfo(float).tiny)
 
 
 @dataclass
@@ -234,26 +235,30 @@ def init_random(views: Sequence[SparseView], k: int, seed: int) -> SolverState:
     return SolverState(views, q, g, y)
 
 
-def _sum_except(mats: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    # accumulate in ascending view order so results are schedule-independent
-    acc = np.zeros_like(mats[0])
-    for j, m in enumerate(mats):
-        if j != skip:
-            acc += m
+def _total(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of all view blocks, accumulated in ascending view order."""
+    acc = mats[0].copy()
+    for m in mats[1:]:
+        acc += m
     return acc
 
 
-def grad_q(i: int, state: SolverState, rho: float) -> np.ndarray:
+def grad_q(i: int, state: SolverState, rho: float,
+           sum_g: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the smooth part of the block-i objective.
 
     Evaluates X_i^T [(I-1+rho) X_i Q_i - sum_{j!=i} G_j - rho G_i + Y_i]
     using the cached product P_i, so the cost is one sparse transpose
-    product, O(nnz(X_i) * K).
+    product, O(nnz(X_i) * K).  ``sum_g`` is the total of all G blocks;
+    a sweep passes it in once for all views, and it is formed here when
+    omitted.
     """
+    if sum_g is None:
+        sum_g = _total(state.g)
     n = state.num_views
     agg = (n - 1 + rho) * state.p[i]
-    agg -= _sum_except(state.g, i)
-    agg -= rho * state.g[i]
+    agg -= sum_g
+    agg += (1.0 - rho) * state.g[i]
     agg += state.y[i]
     return spmm_left_t(state.views[i], agg)
 
@@ -274,16 +279,17 @@ def step_size(i: int, state: SolverState, rho: float,
 
 
 def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
-             q_steps: int = 1, safety: float = 0.9) -> np.ndarray:
+             q_steps: int = 1, safety: float = 0.9,
+             sum_g: np.ndarray | None = None) -> np.ndarray:
     """Prox-gradient step(s) on Q_i with all G blocks frozen.
 
     Each step moves along the negative gradient with the safeguarded
     step size, applies the penalty's prox, and refreshes the cache
-    P_i = X_i Q_i.
+    P_i = X_i Q_i.  ``sum_g`` is passed on to :func:`grad_q`.
     """
     alpha = step_size(i, state, rho, safety)
     for _ in range(q_steps):
-        grad = grad_q(i, state, rho)
+        grad = grad_q(i, state, rho, sum_g)
         if not np.all(np.isfinite(grad)):
             raise ValueError("non-finite gradient in Q update")
         state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
@@ -291,14 +297,19 @@ def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
     return state.q[i]
 
 
-def update_g(i: int, state: SolverState, rho: float) -> np.ndarray:
+def update_g(i: int, state: SolverState, rho: float,
+             sum_p: np.ndarray | None = None) -> np.ndarray:
     """Closest-orthonormal update of G_i from the fresh product caches.
 
     The minimizer over orthonormal G of the block objective is the
-    polar factor of sum_{j!=i} P_j + rho P_i + Y_i.
+    polar factor of sum_{j!=i} P_j + rho P_i + Y_i.  ``sum_p`` is the
+    total of all P blocks; a sweep passes it in once for all views, and
+    it is formed here when omitted.
     """
-    agg = _sum_except(state.p, i)
-    agg += rho * state.p[i]
+    if sum_p is None:
+        sum_p = _total(state.p)
+    agg = (rho - 1.0) * state.p[i]
+    agg += sum_p
     agg += state.y[i]
     state.g[i] = polar_factor(agg, gram_jitter=1e-12)
     return state.g[i]
@@ -315,19 +326,25 @@ def primal_residual(state: SolverState) -> float:
 
 def _lagrangian(state: SolverState, rho: float,
                 regs: Sequence[rg.Regularizer], reg_weight: float) -> float:
-    val = 0.0
+    # the ordered-pair coupling sum_{i!=j} ||P_i - G_j||^2 / 2 expands to
+    # ((I-1) sum_i (||P_i||^2 + ||G_i||^2)) / 2
+    #     - (<sum P, sum G> - sum_i <P_i, G_i>),
+    # so one pass over the views costs O(I L K) instead of O(I^2 L K)
     n = state.num_views
+    squares = 0.0
+    matched = 0.0
+    val = 0.0
     for i in range(n):
-        for j in range(n):
-            if j != i:
-                diff = state.p[i] - state.g[j]
-                val += 0.5 * float(np.sum(diff * diff))
-    for i in range(n):
+        p_i, g_i = state.p[i], state.g[i]
+        squares += float(np.vdot(p_i, p_i)) + float(np.vdot(g_i, g_i))
+        matched += float(np.vdot(p_i, g_i))
         val += reg_weight * rg.penalty_value(regs[i], state.q[i])
-    for i in range(n):
-        slack = state.p[i] - state.g[i] + state.y[i] / rho
-        val += 0.5 * rho * float(np.sum(slack * slack))
-    return val
+        slack = state.y[i] / rho
+        slack += p_i
+        slack -= g_i
+        val += 0.5 * rho * float(np.vdot(slack, slack))
+    cross = float(np.vdot(_total(state.p), _total(state.g))) - matched
+    return val + 0.5 * (n - 1) * squares - cross
 
 
 def lagrangian_value(state: SolverState, rho: float, regs) -> float:
@@ -408,10 +425,13 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     for sweep in range(1, max_sweeps + 1):
         q_prev = [a.copy() for a in state.q]
         g_prev = [a.copy() for a in state.g]
+        # each pass reads one total, formed while its blocks are frozen
+        sum_g = _total(state.g)
         for i in range(n):
-            update_q(i, state, rho, regs[i], q_steps, safety)
+            update_q(i, state, rho, regs[i], q_steps, safety, sum_g)
+        sum_p = _total(state.p)
         for i in range(n):
-            update_g(i, state, rho)
+            update_g(i, state, rho, sum_p)
         if check_descent:
             cur = _monotone_objective(state, rho, regs)
             if cur > prev + 1e-9 * max(1.0, abs(prev)):

@@ -141,3 +141,15 @@ def lagrangian_scalar(ps, gs, qs, ys, rho, penalty_fn):
             for b in range(s.shape[1]):
                 total += 0.5 * rho * s[a, b] * s[a, b]
     return total
+
+
+def pairwise_inner_loop(mats):
+    """Sum of <A_i, A_j> over unordered pairs i < j, entry by entry."""
+    total = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            a, b = mats[i], mats[j]
+            for r in range(a.shape[0]):
+                for c in range(a.shape[1]):
+                    total += a[r, c] * b[r, c]
+    return total

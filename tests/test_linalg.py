@@ -4,11 +4,12 @@ import scipy.io
 import scipy.sparse as sp
 
 from mvcca.linalg import (MM_HEADER, RankDeficiencyError, SparseView,
-                          load_dense_csv, load_matrix_market, polar_factor,
-                          save_dense_csv, save_matrix_market,
-                          spectral_norm_sq, spmm_left_t, spmm_right)
+                          load_dense_csv, load_matrix_market,
+                          pairwise_inner_sum, polar_factor, save_dense_csv,
+                          save_matrix_market, spectral_norm_sq, spmm_left_t,
+                          spmm_right)
 
-from oracles import materialize, random_stiefel
+from oracles import materialize, pairwise_inner_loop, random_stiefel
 
 
 def random_sparse_view(rng, rows, cols, density, **kwargs):
@@ -23,6 +24,11 @@ class TestSparseView:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseView.from_triplets([0, 0], [1, 1], [1.0, 2.0], (2, 2))
+
+    def test_non_adjacent_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseView.from_triplets([0, 1, 0], [0, 1, 0], [1.0, 2.0, 3.0],
+                                     (2, 2))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -151,6 +157,16 @@ class TestPolarFactor:
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError, match="tall"):
             polar_factor(np.ones((2, 3)))
+
+
+class TestPairwiseInnerSum:
+    @pytest.mark.parametrize("n_mats", [2, 10])
+    def test_matches_pair_loop(self, n_mats):
+        rng = np.random.default_rng(n_mats)
+        mats = [rng.standard_normal((7, 3)) for _ in range(n_mats)]
+        ref = pairwise_inner_loop(mats)
+        assert abs(pairwise_inner_sum(mats) - ref) \
+            <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestSpectralNorm:

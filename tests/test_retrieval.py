@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from mvcca import retrieval
 from mvcca.linalg import SparseView
 from mvcca.retrieval import (HashSpec, aroc, cross_distances, evaluate_pairs,
                              hash_corpus, hash_featurize, nn_freq, project,
@@ -92,6 +94,28 @@ class TestHashCorpus:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             hash_corpus([], HashSpec(bits=9))
+
+    def test_rows_match_per_document_hashing(self):
+        spec = HashSpec(bits=6, seed=3)
+        docs = [["a", "b", "a"], [], ["c", "b"], ["b", "d", "e", "a"]]
+        got = hash_corpus(docs, spec).raw
+        ref = sp.vstack([hash_featurize(d, spec) for d in docs]).tocsr()
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_each_distinct_token_hashed_once(self, monkeypatch):
+        calls = []
+        real = retrieval._token_slot_sign
+
+        def counted(token, spec):
+            calls.append(token)
+            return real(token, spec)
+
+        monkeypatch.setattr(retrieval, "_token_slot_sign", counted)
+        hash_corpus([["a", "b", "a"], ["b", "c"], ["a"]], HashSpec(bits=8))
+        assert sorted(calls) == ["a", "b", "c"]
 
 
 class TestSplitRows:

@@ -128,11 +128,15 @@ class TestUpdateQ:
         rng = np.random.default_rng(0)
         state = random_state(rng)
         rho = 2.0
-        # choose the dual so the gradient aggregate cancels bitwise
+        # choose the dual so the gradient aggregate cancels bitwise; it is
+        # built in grad_q's order: (I-1+rho) P_0 - sum G + (1-rho) G_0
         n = state.num_views
+        sum_g = state.g[0].copy()
+        for g_j in state.g[1:]:
+            sum_g += g_j
         agg = (n - 1 + rho) * state.p[0]
-        agg -= sum(state.g[j] for j in range(1, n))
-        agg -= rho * state.g[0]
+        agg -= sum_g
+        agg += (1.0 - rho) * state.g[0]
         state.y[0] = -agg
         np.testing.assert_array_equal(grad_q(0, state, rho), 0.0)
         before = state.q[0].copy()
@@ -202,6 +206,23 @@ class TestUpdateG:
         # unit columns: the latent block never contains a zero column
         np.testing.assert_allclose(
             np.linalg.norm(state.g[0], axis=0), 1.0, atol=1e-8)
+
+
+class TestPassTotals:
+    def test_given_totals_match_formed_ones(self):
+        rng = np.random.default_rng(29)
+        state = random_state(rng, n_views=4, l_rows=12, k=3)
+        rho = 1.3
+        sum_g = state.g[0] + state.g[1] + state.g[2] + state.g[3]
+        sum_p = state.p[0] + state.p[1] + state.p[2] + state.p[3]
+        for i in range(state.num_views):
+            np.testing.assert_allclose(grad_q(i, state, rho, sum_g),
+                                       grad_q(i, state, rho),
+                                       rtol=0, atol=1e-12)
+        for i in range(state.num_views):
+            with_total = update_g(i, state.copy(), rho, sum_p)
+            np.testing.assert_allclose(with_total, update_g(i, state, rho),
+                                       rtol=0, atol=1e-12)
 
 
 class TestPrimalResidual:
@@ -344,6 +365,15 @@ class TestRunPdd:
             np.testing.assert_array_equal(old, new)
         assert state is not init
 
+    def test_long_solve_outlives_eps_underflow(self):
+        # tol_change = 0 keeps the solve going past r = 108, where
+        # 1e-2 * 1e-3**r underflows to 0.0
+        views = self._aligned_views(seed=13)
+        cfg = SolverConfig(k=2, eps_decay=1e-3, outer_max=200, seed=1,
+                           tol_change=0.0)
+        _, trace = run_pdd(views, cfg)
+        assert len(trace) == 201
+
     def test_orthonormal_latents_throughout(self):
         views = self._aligned_views(seed=10)
         state, _ = run_pdd(views, SolverConfig(k=3, outer_max=10, seed=11))
@@ -408,11 +438,20 @@ class TestLagrangianValue:
         state.p = [a.copy(), a.copy() - 1.0]
         assert lagrangian_value(state, 2.0, None) == pytest.approx(4.0)
 
-    def test_matches_scalar_oracle(self):
+    @pytest.mark.parametrize("n_views", [2, 3, 10])
+    def test_matches_scalar_oracle(self, n_views):
         rng = np.random.default_rng(19)
-        state = random_state(rng)
-        regs = [rg.Regularizer("l1", lam=0.4)] * 3
-        penalty = lambda i, q: regs[i].lam * float(np.abs(q).sum())
+        state = random_state(rng, n_views=n_views)
+        # the Gram identities must not lean on orthonormal latents
+        state.g = [rng.standard_normal(g.shape) for g in state.g]
+        regs = [rg.Regularizer("l1" if i % 2 else "l21", lam=0.4)
+                for i in range(n_views)]
+
+        def penalty(i, q):
+            if regs[i].kind == "l1":
+                return regs[i].lam * float(np.abs(q).sum())
+            return regs[i].lam * float(np.sqrt((q * q).sum(axis=1)).sum())
+
         ref = lagrangian_scalar(state.p, state.g, state.q, state.y, 2.0,
                                 penalty)
         assert abs(lagrangian_value(state, 2.0, regs) - ref) \
@@ -457,6 +496,9 @@ class TestSolverConfig:
         cfg = SolverConfig(k=2)
         assert cfg.eta(4) == pytest.approx(25.0)
         assert cfg.eps(2) == pytest.approx(1e-2 * 0.81)
+
+    def test_eps_never_underflows(self):
+        assert SolverConfig(k=2).eps(7100) > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
