@@ -10,7 +10,7 @@ from .retrieval import (HashSpec, RetrievalResult, aroc, cross_distances,
                         project, split_rows)
 from .solver import (EmptyViewError, RegularityError, SolverConfig,
                      SolverState, StepSizeError, Trace, init_random,
-                     lagrangian_value, primal_residual, run_admm, run_pdd,
+                     lagrangian_value, primal_residual, run_pdd,
                      run_subsolver, validate_dimensions)
 from .synth import (IndexSets, SynthSpec, gen_shared_factor,
                     gen_with_outliers, metric1, metric2, time_to_fraction,

@@ -24,8 +24,7 @@ from .linalg import (RankDeficiencyError, load_dense_csv, load_matrix_market,
                      save_dense_csv, save_matrix_market)
 from .regularizers import Regularizer
 from .solver import (EmptyViewError, RegularityError, SolverConfig,
-                     StepSizeError, Trace, run_admm, run_pdd,
-                     validate_dimensions)
+                     StepSizeError, Trace, run_pdd, validate_dimensions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -261,8 +260,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     config = _from_keys(SolverConfig, "solver", cfg)
     regs = _regularizers(cfg, len(views))
     validate_dimensions(views, config.k)
-    runner = run_pdd if config.mode == "pdd" else run_admm
-    state, trace = runner(views, config, regs)
+    state, trace = run_pdd(views, config, regs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(len(views)):
         save_dense_csv(out_dir / f"Q_{i}.csv", state.q[i])

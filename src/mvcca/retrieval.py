@@ -119,14 +119,39 @@ def cross_distances(proj_a, proj_b) -> np.ndarray:
     return cdist(proj_a, proj_b)
 
 
-def _match_ranks(distances: np.ndarray) -> np.ndarray:
-    # 1-based rank of each diagonal entry in its row; the true match is
-    # placed before equal-distance competitors
+# query rows are ranked this many at a time, so evaluating a view pair
+# holds a block x n slice of distances instead of the n x n matrix
+_RANK_BLOCK = 256
+
+
+def _match_ranks(distances: np.ndarray, first: int = 0) -> np.ndarray:
+    # 1-based rank of each row's true match, the candidate in column
+    # first + row; it is placed before equal-distance competitors
+    rows = np.arange(distances.shape[0])
+    true = distances[rows, first + rows]
+    return 1 + (distances < true[:, None]).sum(axis=1)
+
+
+def _pair_ranks(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Match ranks of row-aligned query and gallery sets, blockwise."""
+    return np.concatenate([
+        _match_ranks(cross_distances(queries[s:s + _RANK_BLOCK], gallery), s)
+        for s in range(0, queries.shape[0], _RANK_BLOCK)])
+
+
+def _square(distances) -> np.ndarray:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square and row-aligned")
-    diag = np.diag(d)
-    return 1 + (d < diag[:, None]).sum(axis=1)
+    return d
+
+
+def _aroc_percent(ranks, n_rows: int):
+    return (1.0 - (ranks - 1) / (n_rows - 1)) * 100.0
+
+
+def _nn_percent(ranks) -> float:
+    return float(100.0 * np.mean(ranks == 1))
 
 
 def aroc(distances, query: int) -> float:
@@ -135,17 +160,15 @@ def aroc(distances, query: int) -> float:
     100 when the true match is nearest, 0 when it ranks last; linear in
     the rank in between.  Requires at least two candidates.
     """
-    d = np.asarray(distances, dtype=np.float64)
+    d = _square(distances)
     if d.shape[0] < 2:
         raise ValueError("need at least two rows for a rank percentage")
-    rank = _match_ranks(d)[query]
-    return float((1.0 - (rank - 1) / (d.shape[0] - 1)) * 100.0)
+    return float(_aroc_percent(_match_ranks(d)[query], d.shape[0]))
 
 
 def nn_freq(distances) -> float:
     """Percent of query rows whose true match ranks first."""
-    ranks = _match_ranks(distances)
-    return float(100.0 * np.mean(ranks == 1))
+    return _nn_percent(_match_ranks(_square(distances)))
 
 
 @dataclass(frozen=True)
@@ -189,12 +212,10 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
         for j in range(len(views)):
             if i == j:
                 continue
-            d = cross_distances(projections[i], projections[j])
-            ranks = _match_ranks(d)
-            pair_aroc = float(np.mean(
-                (1.0 - (ranks - 1) / (n_rows - 1)) * 100.0))
-            pairs.append(PairScore(i, j, pair_aroc,
-                                   float(100.0 * np.mean(ranks == 1))))
+            ranks = _pair_ranks(projections[i], projections[j])
+            pairs.append(PairScore(
+                i, j, float(np.mean(_aroc_percent(ranks, n_rows))),
+                _nn_percent(ranks)))
 
     per_aroc = {}
     per_nn = {}

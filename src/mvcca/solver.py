@@ -5,19 +5,19 @@ orthonormal latent blocks G_i tied by the slack constraints
 ``X_i Q_i = G_i``.  The main driver alternates an inexact sub-solver
 (prox-gradient steps on every Q_i, then a polar-factor update of every
 G_i) with a feasibility test: when the slack residual is small enough
-the duals take an ascent step, otherwise the penalty weight grows.  A
-plain ADMM driver with fixed penalty is the same loop with one sweep
-and a dual step at every outer iteration, kept as a baseline; it has no
-convergence guarantee on this nonconvex problem.
+the duals take an ascent step, otherwise the penalty weight grows.  The
+fixed-penalty ADMM baseline is the same driver configured with
+``sub_max_sweeps = 1`` and ``eta0 = inf``: one sweep and a dual step at
+every outer iteration.  It has no convergence guarantee on this
+nonconvex problem.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,12 +45,13 @@ class EmptyViewError(ValueError):
 
 @dataclass
 class SolverConfig:
-    """Knobs for both solver modes.
+    """Knobs of the solver.
 
     ``eta0`` sets the feasibility schedule eta(r) = eta0 / r that gates
     dual updates; ``eps0``/``eps_decay`` set the sub-solver accuracy
     schedule eps(r) = eps0 * eps_decay**r.  ``tol_feas`` = None means
-    1e-6 * L * K at run time.
+    1e-6 * L * K at run time.  ``sub_max_sweeps = 1`` with
+    ``eta0 = inf`` gives the fixed-penalty ADMM baseline.
     """
 
     k: int
@@ -60,34 +61,34 @@ class SolverConfig:
     eps0: float = 1e-2
     eps_decay: float = 0.9
     sub_max_sweeps: int = 5
-    q_steps: int = 1
     outer_max: int = 500
     tol_feas: float | None = None
     tol_change: float = 1e-6
     safety: float = 0.9
-    mode: str = "pdd"
     seed: int = 0
     power_iters: int = 100
-    check_descent: bool = True
     virtual_clock: bool = False
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be > 0")
+        for name in ("rho0", "eps0", "safety"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        if not self.eta0 > 0:
+            raise ValueError("eta0 must be > 0")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must be in (0, 1)")
-        if self.eta0 <= 0 or self.eps0 <= 0:
-            raise ValueError("schedules must start positive")
         if not 0.0 < self.eps_decay < 1.0:
             raise ValueError("eps_decay must be in (0, 1)")
-        if min(self.sub_max_sweeps, self.q_steps, self.outer_max) < 1:
+        if min(self.sub_max_sweeps, self.outer_max, self.power_iters) < 1:
             raise ValueError("counts must be >= 1")
-        if self.tol_feas is not None and self.tol_feas < 0:
+        if self.tol_feas is not None and not self.tol_feas >= 0:
             raise ValueError("tol_feas must be >= 0")
-        if self.mode not in ("pdd", "admm"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.tol_change >= 0:
+            raise ValueError("tol_change must be >= 0")
 
     def eta(self, r: int) -> float:
         return self.eta0 / max(r, 1)
@@ -264,7 +265,7 @@ def grad_q(i: int, state: SolverState, rho: float,
 
 
 def step_size(i: int, state: SolverState, rho: float,
-              safety: float = 0.9) -> float:
+              safety: float = SolverConfig.safety) -> float:
     """Inverse Lipschitz bound for the block-i gradient, times a safety factor.
 
     The smooth block Hessian is (I-1+rho) X_i^T X_i, so
@@ -279,21 +280,20 @@ def step_size(i: int, state: SolverState, rho: float,
 
 
 def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
-             q_steps: int = 1, safety: float = 0.9,
+             safety: float = SolverConfig.safety,
              sum_g: np.ndarray | None = None) -> np.ndarray:
-    """Prox-gradient step(s) on Q_i with all G blocks frozen.
+    """One prox-gradient step on Q_i with all G blocks frozen.
 
-    Each step moves along the negative gradient with the safeguarded
+    The step moves along the negative gradient with the safeguarded
     step size, applies the penalty's prox, and refreshes the cache
     P_i = X_i Q_i.  ``sum_g`` is passed on to :func:`grad_q`.
     """
     alpha = step_size(i, state, rho, safety)
-    for _ in range(q_steps):
-        grad = grad_q(i, state, rho, sum_g)
-        if not np.all(np.isfinite(grad)):
-            raise ValueError("non-finite gradient in Q update")
-        state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
-        state.p[i] = spmm_right(state.views[i], state.q[i])
+    grad = grad_q(i, state, rho, sum_g)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient in Q update")
+    state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
+    state.p[i] = spmm_right(state.views[i], state.q[i])
     return state.q[i]
 
 
@@ -404,8 +404,8 @@ def _max_change(state: SolverState, q_prev, g_prev) -> float:
 
 
 def run_subsolver(state: SolverState, rho: float, eps_r: float,
-                  max_sweeps: int, regs=None, q_steps: int = 1,
-                  safety: float = 0.9, check_descent: bool = True) -> int:
+                  max_sweeps: int, regs=None,
+                  safety: float = SolverConfig.safety) -> int:
     """Inexact alternating sweeps at fixed duals and penalty.
 
     Each sweep updates every Q_i (all G frozen), then every G_i from the
@@ -413,44 +413,49 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     iterate drops to ``eps_r`` or after ``max_sweeps``.  Returns the
     number of sweeps taken.
 
-    With ``check_descent`` the half-weighted Lagrangian is verified to
-    be non-increasing across sweeps; an increase beyond slack means the
-    step size rule was violated and raises :class:`StepSizeError`.
+    The half-weighted Lagrangian is verified to be non-increasing
+    across sweeps; an increase beyond slack means the step size rule
+    was violated and raises :class:`StepSizeError`.
     """
     if eps_r <= 0:
         raise ValueError("eps_r must be > 0")
     n = state.num_views
     regs = _as_reg_list(regs, n)
-    prev = _monotone_objective(state, rho, regs) if check_descent else None
+    prev = _monotone_objective(state, rho, regs)
     for sweep in range(1, max_sweeps + 1):
-        q_prev = [a.copy() for a in state.q]
-        g_prev = [a.copy() for a in state.g]
+        # the updates rebind Q_i and G_i and never write them in place,
+        # so lists of the current blocks are snapshots
+        q_prev, g_prev = list(state.q), list(state.g)
         # each pass reads one total, formed while its blocks are frozen
         sum_g = _total(state.g)
         for i in range(n):
-            update_q(i, state, rho, regs[i], q_steps, safety, sum_g)
+            update_q(i, state, rho, regs[i], safety, sum_g)
         sum_p = _total(state.p)
         for i in range(n):
             update_g(i, state, rho, sum_p)
-        if check_descent:
-            cur = _monotone_objective(state, rho, regs)
-            if cur > prev + 1e-9 * max(1.0, abs(prev)):
-                raise StepSizeError(
-                    f"step size violation: sub-solver objective rose "
-                    f"{prev:.12g} -> {cur:.12g}")
-            prev = cur
+        cur = _monotone_objective(state, rho, regs)
+        if cur > prev + 1e-9 * max(1.0, abs(prev)):
+            raise StepSizeError(
+                f"step size violation: sub-solver objective rose "
+                f"{prev:.12g} -> {cur:.12g}")
+        prev = cur
         if _max_change(state, q_prev, g_prev) <= eps_r:
             return sweep
     return max_sweeps
 
 
-def _run(views, config: SolverConfig, regs, init, max_sweeps: int,
-         eps: Callable[[int], float], eta: Callable[[int], float]):
-    """Outer loop shared by both drivers.
+def run_pdd(views, config: SolverConfig, regs=None, init=None):
+    """Adaptive-penalty driver: sub-solver sweeps plus dual/penalty steps.
 
-    Outer iteration r runs the sub-solver for at most ``max_sweeps``
-    sweeps to accuracy ``eps(r)``, then takes a dual step when the slack
-    residual is within ``eta(r)`` and grows the penalty otherwise.
+    Outer iteration r runs the sub-solver for at most
+    ``config.sub_max_sweeps`` sweeps to accuracy ``config.eps(r)``, then
+    takes a dual step when the slack residual is within
+    ``config.eta(r)`` and grows the penalty otherwise.
+
+    Returns the final state (factors Q_i, latents G_i, duals Y_i) and
+    the per-iteration trace.  Deterministic given the config seed.  The
+    trace clock starts at the call, so its seconds include the start
+    point and the spectral-norm estimates.
     """
     start = time.perf_counter()
     views = list(views)
@@ -478,13 +483,12 @@ def _run(views, config: SolverConfig, regs, init, max_sweeps: int,
 
     record(0, primal_residual(state))
     for r in range(1, config.outer_max + 1):
-        q_prev = [a.copy() for a in state.q]
-        g_prev = [a.copy() for a in state.g]
-        run_subsolver(state, state.rho, eps(r), max_sweeps, regs,
-                      config.q_steps, config.safety, config.check_descent)
+        q_prev, g_prev = list(state.q), list(state.g)
+        run_subsolver(state, state.rho, config.eps(r), config.sub_max_sweeps,
+                      regs, config.safety)
         # neither step below moves P or G, so the residual stays current
         res = primal_residual(state)
-        dual_or_penalty_step(state, res, eta(r), config.c)
+        dual_or_penalty_step(state, res, config.eta(r), config.c)
         record(r, res)
         change = _max_change(state, q_prev, g_prev)
         if res <= tol_feas and change <= config.tol_change:
@@ -492,30 +496,3 @@ def _run(views, config: SolverConfig, regs, init, max_sweeps: int,
                         "(residual %.3g, change %.3g)", r, res, change)
             break
     return state, trace
-
-
-def run_pdd(views, config: SolverConfig, regs=None, init=None):
-    """Adaptive-penalty driver: sub-solver sweeps plus dual/penalty steps.
-
-    Returns the final state (factors Q_i, latents G_i, duals Y_i) and
-    the per-iteration trace.  Deterministic given the config seed.  The
-    trace clock starts at the call, so its seconds include the start
-    point and the spectral-norm estimates.
-    """
-    return _run(views, config, regs, init, config.sub_max_sweeps,
-                config.eps, config.eta)
-
-
-def _unbounded(r: int) -> float:
-    return math.inf
-
-
-def run_admm(views, config: SolverConfig, regs=None, init=None):
-    """Fixed-penalty baseline: one Q pass, one G pass, dual step per cycle.
-
-    The :func:`run_pdd` loop with a single sweep and no accuracy or
-    feasibility target, so every outer step is a dual step and the
-    penalty weight never changes.  Carries no convergence guarantee on
-    this nonconvex problem.
-    """
-    return _run(views, config, regs, init, 1, _unbounded, _unbounded)

@@ -1,0 +1,35 @@
+"""The benchmark's per-layer tracer still sees the library's hot calls.
+
+``bench/layers.py`` wraps public library functions by name and reads
+some of their arguments and results, so a renamed function or a changed
+signature would silently zero a ``--trace 1`` counter.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import mvcca
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import layers  # noqa: E402
+
+
+def test_tracer_counts_solver_and_retrieval_work():
+    rng = np.random.default_rng(0)
+    views = [mvcca.SparseView(rng.standard_normal((12, 8)))
+             for _ in range(3)]
+    tracer = layers.LayerTracer()
+    tracer.install()
+    try:
+        state, _ = mvcca.run_pdd(
+            views, mvcca.SolverConfig(k=2, outer_max=5, seed=1))
+        mvcca.evaluate_pairs(views, state.q)
+    finally:
+        tracer.uninstall()
+    counts = tracer.take()
+    for name in ("solver.sweeps", "solver.subsolver_calls",
+                 "solver.outer_iters", "solver.dual_steps",
+                 "retrieval.distance_entries"):
+        assert counts.get(name, 0) > 0, name

@@ -145,11 +145,13 @@ class TestSolveCommand:
         assert "solver.c = 0.90000000000000002" in echoed
 
     def test_admm_mode(self, tmp_path, synth_dir):
+        # the ADMM baseline is a solver configuration, not a mode
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir)
-                        + "solver.mode = admm\n")
+                        + "solver.sub_max_sweeps = 1\nsolver.eta0 = inf\n")
         run_dir = tmp_path / "run_admm"
         assert main(["solve", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert read_echo(run_dir / "resolved.cfg")["solver.eta0"] == "inf"
         trace = Trace.from_csv(run_dir / "trace.csv", ideal=3 * 3 * 2)
         np.testing.assert_array_equal(trace.column("rho"),
                                       np.full(len(trace), 2.0))
@@ -395,6 +397,18 @@ class TestKeysMirrorDataclasses:
                                "--out", str(tmp_path / "run"))
         assert code == 2
         assert "tol_feas" in err
+
+    @pytest.mark.parametrize("line", ["solver.eta0 = nan",
+                                      "solver.tol_change = -5",
+                                      "solver.safety = 0",
+                                      "solver.power_iters = 0"])
+    def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
+                                        line):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir) + line + "\n")
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_threads_flag_rejected(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",

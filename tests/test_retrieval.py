@@ -288,3 +288,27 @@ class TestEvaluatePairs:
         factors = [rng.standard_normal((4, 2))] * 2
         with pytest.raises(ValueError, match="disagree"):
             evaluate_pairs(views, factors)
+
+
+class TestBlockedRanks:
+    def test_blocks_match_full_matrix(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        # small integer coordinates make equal distances common
+        a = rng.integers(0, 3, (11, 2)).astype(float)
+        b = rng.integers(0, 3, (11, 2)).astype(float)
+        full = cross_distances(a, b)
+        true = np.diag(full)[:, None]
+        assert np.any((full == true).sum(axis=1) > 1)
+        monkeypatch.setattr(retrieval, "_RANK_BLOCK", 4)
+        np.testing.assert_array_equal(retrieval._pair_ranks(a, b),
+                                      1 + (full < true).sum(axis=1))
+
+    def test_scores_independent_of_block_size(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        views = [SparseView(rng.integers(0, 2, (11, 4)).astype(float))
+                 for _ in range(3)]
+        factors = [rng.integers(-1, 2, (4, 2)).astype(float)
+                   for _ in range(3)]
+        whole = evaluate_pairs(views, factors)
+        monkeypatch.setattr(retrieval, "_RANK_BLOCK", 4)
+        assert evaluate_pairs(views, factors) == whole

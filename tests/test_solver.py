@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mvcca.linalg import SparseView, spectral_norm_sq, spmm_right
 from mvcca.solver import (EmptyViewError, RegularityError, SolverConfig,
                           SolverState, StepSizeError, dual_or_penalty_step,
                           grad_q, init_random, lagrangian_value,
-                          primal_residual, run_admm, run_pdd, run_subsolver,
+                          primal_residual, run_pdd, run_subsolver,
                           step_size, update_g, update_q, validate_dimensions)
 
 from oracles import (fd_gradient, g_subproblem_objective, lagrangian_scalar,
@@ -156,7 +157,7 @@ class TestUpdateQ:
         rho = 1.7
         alpha = step_size(0, state, rho)
         expected = state.q[0] - alpha * grad_q(0, state, rho)
-        update_q(0, state, rho, rg.NONE, q_steps=1)
+        update_q(0, state, rho, rg.NONE)
         np.testing.assert_array_equal(state.q[0], expected)
 
     def test_refreshes_product_cache(self):
@@ -381,13 +382,17 @@ class TestRunPdd:
             assert np.linalg.norm(g.T @ g - np.eye(3)) <= 1e-8
 
 
+# the fixed-penalty ADMM baseline: one sweep and a dual step per cycle
+ADMM = dict(sub_max_sweeps=1, eta0=np.inf)
+
+
 class TestRunAdmm:
     def test_aligned_views_converge(self):
         rng = np.random.default_rng(12)
         x = np.linalg.qr(rng.standard_normal((12, 8)))[0]
         views = [SparseView(x), SparseView(x)]
-        cfg = SolverConfig(k=3, mode="admm", outer_max=120, seed=13)
-        state, trace = run_admm(views, cfg)
+        cfg = SolverConfig(k=3, outer_max=120, seed=13, **ADMM)
+        state, trace = run_pdd(views, cfg)
         assert trace.rows[-1].total_correlation >= 2 * 3 * 0.999
 
     def test_first_iteration_matches_pdd(self):
@@ -396,7 +401,7 @@ class TestRunAdmm:
         init = init_random(views, 2, seed=15)
         cfg = SolverConfig(k=2, outer_max=1, sub_max_sweeps=1, seed=15)
         state_p, _ = run_pdd(views, cfg, init=init)
-        state_a, _ = run_admm(views, cfg, init=init)
+        state_a, _ = run_pdd(views, replace(cfg, **ADMM), init=init)
         for a, b in zip(state_p.q, state_a.q):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(state_p.g, state_a.g):
@@ -407,16 +412,15 @@ class TestRunAdmm:
     def test_descent_checked(self):
         rng = np.random.default_rng(14)
         views = [SparseView(rng.standard_normal((10, 7))) for _ in range(3)]
-        cfg = SolverConfig(k=2, mode="admm", outer_max=5, seed=15,
-                           safety=200.0)
+        cfg = SolverConfig(k=2, outer_max=5, seed=15, safety=200.0, **ADMM)
         with pytest.raises(StepSizeError, match="step size violation"):
-            run_admm(views, cfg)
+            run_pdd(views, cfg)
 
     def test_trace_recorded(self):
         rng = np.random.default_rng(16)
         views = [SparseView(rng.standard_normal((10, 7))) for _ in range(2)]
-        cfg = SolverConfig(k=2, mode="admm", outer_max=8, seed=17)
-        _, trace = run_admm(views, cfg)
+        cfg = SolverConfig(k=2, outer_max=8, seed=17, **ADMM)
+        _, trace = run_pdd(views, cfg)
         assert len(trace) == 9
         rho = trace.column("rho")
         np.testing.assert_array_equal(rho, np.full(9, cfg.rho0))
@@ -501,13 +505,17 @@ class TestSolverConfig:
         assert SolverConfig(k=2).eps(7100) > 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(k=0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=2, c=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=2, rho0=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=2, mode="sgd")
-        with pytest.raises(ValueError):
-            SolverConfig(k=2, tol_feas=-1.0)
+        nan, inf = float("nan"), float("inf")
+        bad = [dict(k=0), dict(c=1.0), dict(c=nan), dict(rho0=0.0),
+               dict(rho0=nan), dict(rho0=inf), dict(eps0=0.0),
+               dict(eps0=nan), dict(eps0=inf), dict(safety=0.0),
+               dict(safety=-1.0), dict(safety=nan), dict(safety=inf),
+               dict(eta0=0.0), dict(eta0=nan), dict(tol_feas=-1.0),
+               dict(tol_feas=nan), dict(tol_change=-5.0),
+               dict(tol_change=nan), dict(power_iters=0),
+               dict(sub_max_sweeps=0), dict(outer_max=0)]
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                SolverConfig(**{"k": 2, **kwargs})
+        # the ADMM baseline's infinite feasibility schedule stays valid
+        assert SolverConfig(k=2, eta0=inf).eta(3) == inf
