@@ -205,6 +205,8 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
         raise ValueError("test views disagree on row count")
     if n_rows < 2:
         raise ValueError("need at least two aligned rows")
+    if len(factors) != len(views):
+        raise ValueError(f"got {len(factors)} factors for {len(views)} views")
     projections = [project(v, q) for v, q in zip(views, factors)]
 
     pairs = []

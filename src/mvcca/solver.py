@@ -324,8 +324,21 @@ def primal_residual(state: SolverState) -> float:
     return val
 
 
-def _lagrangian(state: SolverState, rho: float,
-                regs: Sequence[rg.Regularizer], reg_weight: float) -> float:
+def lagrangian_value(state: SolverState, rho: float, regs,
+                     sum_p: np.ndarray | None = None,
+                     sum_g: np.ndarray | None = None) -> float:
+    """Augmented Lagrangian the sub-solver descends (traced and checked).
+
+    The coupling is summed over ordered view pairs, as in the updates.
+    Penalties enter at half weight, 1/2 * sum_i r_i(Q_i), because the
+    prox has no 1/2 on its quadratic (see :mod:`.regularizers`).  The
+    totals of all P and G blocks are formed here when omitted.
+    """
+    regs = _as_reg_list(regs, state.num_views)
+    if sum_p is None:
+        sum_p = _total(state.p)
+    if sum_g is None:
+        sum_g = _total(state.g)
     # the ordered-pair coupling sum_{i!=j} ||P_i - G_j||^2 / 2 expands to
     # ((I-1) sum_i (||P_i||^2 + ||G_i||^2)) / 2
     #     - (<sum P, sum G> - sum_i <P_i, G_i>),
@@ -338,31 +351,13 @@ def _lagrangian(state: SolverState, rho: float,
         p_i, g_i = state.p[i], state.g[i]
         squares += float(np.vdot(p_i, p_i)) + float(np.vdot(g_i, g_i))
         matched += float(np.vdot(p_i, g_i))
-        val += reg_weight * rg.penalty_value(regs[i], state.q[i])
+        val += 0.5 * rg.penalty_value(regs[i], state.q[i])
         slack = state.y[i] / rho
         slack += p_i
         slack -= g_i
         val += 0.5 * rho * float(np.vdot(slack, slack))
-    cross = float(np.vdot(_total(state.p), _total(state.g))) - matched
+    cross = float(np.vdot(sum_p, sum_g)) - matched
     return val + 0.5 * (n - 1) * squares - cross
-
-
-def lagrangian_value(state: SolverState, rho: float, regs) -> float:
-    """Augmented Lagrangian of the split problem (tracing/assertions only).
-
-    The coupling term is summed over ordered view pairs, matching the
-    per-block gradients and polar-factor aggregates the updates use, so
-    this is the functional the sub-solver actually descends.
-    """
-    return _lagrangian(state, rho, _as_reg_list(regs, state.num_views), 1.0)
-
-
-def _monotone_objective(state: SolverState, rho: float,
-                        regs: Sequence[rg.Regularizer]) -> float:
-    # regularizers enter the prox at half weight, so descent is only
-    # guaranteed for the half-weighted functional; identical to
-    # lagrangian_value whenever all penalties are "none"
-    return _lagrangian(state, rho, regs, 0.5)
 
 
 def dual_or_penalty_step(state: SolverState, residual: float, eta_r: float,
@@ -405,7 +400,8 @@ def _max_change(state: SolverState, q_prev, g_prev) -> float:
 
 def run_subsolver(state: SolverState, rho: float, eps_r: float,
                   max_sweeps: int, regs=None,
-                  safety: float = SolverConfig.safety) -> int:
+                  safety: float = SolverConfig.safety,
+                  start: float | None = None) -> int:
     """Inexact alternating sweeps at fixed duals and penalty.
 
     Each sweep updates every Q_i (all G frozen), then every G_i from the
@@ -413,27 +409,31 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     iterate drops to ``eps_r`` or after ``max_sweeps``.  Returns the
     number of sweeps taken.
 
-    The half-weighted Lagrangian is verified to be non-increasing
-    across sweeps; an increase beyond slack means the step size rule
-    was violated and raises :class:`StepSizeError`.
+    :func:`lagrangian_value` is verified to be non-increasing across
+    sweeps; an increase beyond slack means the step size rule was
+    violated and raises :class:`StepSizeError`.  ``start`` is its value
+    at the entry state, when the caller already has it.
     """
     if eps_r <= 0:
         raise ValueError("eps_r must be > 0")
     n = state.num_views
     regs = _as_reg_list(regs, n)
-    prev = _monotone_objective(state, rho, regs)
+    # each pass reads one total, formed while its blocks are frozen; the
+    # objective reads both, and the G total carries into the next sweep
+    sum_g = _total(state.g)
+    prev = start if start is not None else lagrangian_value(
+        state, rho, regs, sum_g=sum_g)
     for sweep in range(1, max_sweeps + 1):
         # the updates rebind Q_i and G_i and never write them in place,
         # so lists of the current blocks are snapshots
         q_prev, g_prev = list(state.q), list(state.g)
-        # each pass reads one total, formed while its blocks are frozen
-        sum_g = _total(state.g)
         for i in range(n):
             update_q(i, state, rho, regs[i], safety, sum_g)
         sum_p = _total(state.p)
         for i in range(n):
             update_g(i, state, rho, sum_p)
-        cur = _monotone_objective(state, rho, regs)
+        sum_g = _total(state.g)
+        cur = lagrangian_value(state, rho, regs, sum_p, sum_g)
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
             raise StepSizeError(
                 f"step size violation: sub-solver objective rose "
@@ -474,22 +474,24 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
                 else 1e-6 * l_rows * config.k)
     trace = Trace(config.k * n * (n - 1))
 
-    def record(r: int, residual: float) -> None:
+    def record(r: int, residual: float) -> float:
+        # nothing moves before the next sub-solver, whose entry value it is
         seconds = float(r) if config.virtual_clock \
             else time.perf_counter() - start
-        trace.append(TraceRow(r, seconds, state.rho, residual,
-                              lagrangian_value(state, state.rho, regs),
+        value = lagrangian_value(state, state.rho, regs)
+        trace.append(TraceRow(r, seconds, state.rho, residual, value,
                               2.0 * pairwise_inner_sum(state.p)))
+        return value
 
-    record(0, primal_residual(state))
+    value = record(0, primal_residual(state))
     for r in range(1, config.outer_max + 1):
         q_prev, g_prev = list(state.q), list(state.g)
         run_subsolver(state, state.rho, config.eps(r), config.sub_max_sweeps,
-                      regs, config.safety)
+                      regs, config.safety, value)
         # neither step below moves P or G, so the residual stays current
         res = primal_residual(state)
         dual_or_penalty_step(state, res, config.eta(r), config.c)
-        record(r, res)
+        value = record(r, res)
         change = _max_change(state, q_prev, g_prev)
         if res <= tol_feas and change <= config.tol_change:
             logger.info("converged at outer iteration %d "

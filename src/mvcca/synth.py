@@ -206,21 +206,15 @@ def total_correlation(views, factors) -> tuple[float, float]:
 def metric1(views, factors, signal_idx) -> float:
     """Percent of signal-block correlation captured (ideal 100).
 
-    Restricts both the views and the factors to the signal columns and
-    sums unordered pair traces, doubled so the normalization by
-    K * I * (I-1) puts the ideal at exactly 100.
+    The total correlation percent of the views and factors restricted
+    to the signal columns.
     """
     signal_idx = np.asarray(signal_idx, dtype=np.int64)
     if signal_idx.size == 0:
         raise ValueError("empty signal index set")
-    products = [
-        spmm_right(v.select_columns(signal_idx),
-                   np.asarray(q, dtype=np.float64)[signal_idx, :])
-        for v, q in zip(views, factors)]
-    n = len(products)
-    k = np.asarray(factors[0]).shape[1]
-    return (2.0 * pairwise_inner_sum(products) * 100.0
-            / (k * n * (n - 1)))
+    return total_correlation(
+        [v.select_columns(signal_idx) for v in views],
+        [np.asarray(q, dtype=np.float64)[signal_idx, :] for q in factors])[1]
 
 
 def metric2(factors, outlier_idx) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +410,18 @@ class TestKeysMirrorDataclasses:
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_readme_key_table_lists_fields(self):
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config keys", 1)[1]
+        rows = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 2:
+                rows[cells[0]] = cells[1].split(", ")
+        for prefix, cls in (("solver", SolverConfig), ("synth", SynthSpec)):
+            assert rows[prefix] == [f.name for f in dataclasses.fields(cls)]
 
     def test_threads_flag_rejected(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",

@@ -289,6 +289,15 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match="disagree"):
             evaluate_pairs(views, factors)
 
+    @pytest.mark.parametrize("n_factors", [2, 4])
+    def test_factor_count_must_match(self, n_factors):
+        rng = np.random.default_rng(22)
+        views = [SparseView(rng.standard_normal((6, 4))) for _ in range(3)]
+        factors = [rng.standard_normal((4, 2)) for _ in range(n_factors)]
+        with pytest.raises(ValueError,
+                           match=f"got {n_factors} factors for 3 views"):
+            evaluate_pairs(views, factors)
+
 
 class TestBlockedRanks:
     def test_blocks_match_full_matrix(self, monkeypatch):

@@ -294,14 +294,17 @@ class TestRunSubsolver:
         sweeps = run_subsolver(state, rho=2.0, eps_r=1e-300, max_sweeps=5)
         assert sweeps == 5
 
-    def test_lagrangian_monotone_over_sweeps(self):
+    @pytest.mark.parametrize("regs", [
+        None, rg.Regularizer("l1", lam=0.3), rg.Regularizer("l21", lam=0.3)],
+        ids=["none", "l1", "l21"])
+    def test_lagrangian_monotone_over_sweeps(self, regs):
         rng = np.random.default_rng(10)
         state = random_state(rng)
         rho = 2.0
-        prev = lagrangian_value(state, rho, None)
+        prev = lagrangian_value(state, rho, regs)
         for _ in range(50):
-            run_subsolver(state, rho, eps_r=1e-300, max_sweeps=1)
-            cur = lagrangian_value(state, rho, None)
+            run_subsolver(state, rho, eps_r=1e-300, max_sweeps=1, regs=regs)
+            cur = lagrangian_value(state, rho, regs)
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
             prev = cur
 
@@ -374,6 +377,27 @@ class TestRunPdd:
                            tol_change=0.0)
         _, trace = run_pdd(views, cfg)
         assert len(trace) == 201
+
+    def test_one_objective_per_row_and_sweep(self, monkeypatch):
+        calls = {"objective": 0, "sweeps": 0}
+
+        def counted_objective(*args, **kwargs):
+            calls["objective"] += 1
+            return lagrangian_value(*args, **kwargs)
+
+        def counted_subsolver(*args, **kwargs):
+            sweeps = run_subsolver(*args, **kwargs)
+            calls["sweeps"] += sweeps
+            return sweeps
+
+        monkeypatch.setattr("mvcca.solver.lagrangian_value",
+                            counted_objective)
+        monkeypatch.setattr("mvcca.solver.run_subsolver", counted_subsolver)
+        views = self._aligned_views(seed=14)
+        _, trace = run_pdd(views, SolverConfig(k=2, outer_max=12, seed=1),
+                           regs=rg.Regularizer("l1", lam=0.1))
+        assert calls["sweeps"] > len(trace) - 1
+        assert calls["objective"] == len(trace) + calls["sweeps"]
 
     def test_orthonormal_latents_throughout(self):
         views = self._aligned_views(seed=10)
@@ -451,10 +475,12 @@ class TestLagrangianValue:
         regs = [rg.Regularizer("l1" if i % 2 else "l21", lam=0.4)
                 for i in range(n_views)]
 
+        # the descended functional carries the penalties at half weight
         def penalty(i, q):
             if regs[i].kind == "l1":
-                return regs[i].lam * float(np.abs(q).sum())
-            return regs[i].lam * float(np.sqrt((q * q).sum(axis=1)).sum())
+                return 0.5 * regs[i].lam * float(np.abs(q).sum())
+            return 0.5 * regs[i].lam * float(
+                np.sqrt((q * q).sum(axis=1)).sum())
 
         ref = lagrangian_scalar(state.p, state.g, state.q, state.y, 2.0,
                                 penalty)
