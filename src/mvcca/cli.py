@@ -18,13 +18,14 @@ import typing
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import retrieval, synth
-from .linalg import (RankDeficiencyError, load_dense_csv, load_matrix_market,
-                     save_dense_csv, save_matrix_market)
+from .linalg import (load_dense_csv, load_matrix_market, save_dense_csv,
+                     save_matrix_market)
 from .regularizers import Regularizer
-from .solver import (EmptyViewError, RegularityError, SolverConfig,
-                     StepSizeError, Trace, run_pdd, validate_dimensions)
+from .solver import (SolverConfig, StepSizeError, Trace, run_pdd,
+                     validate_dimensions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,12 +175,6 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_file(path: Path, what: str) -> Path:
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 def _view_paths(cfg: RunConfig) -> list[Path]:
     if cfg.get("io.views"):
         paths = [Path(p.strip()) for p in str(cfg.get("io.views")).split(",")
@@ -198,19 +193,33 @@ def _view_paths(cfg: RunConfig) -> list[Path]:
         raise ConfigError("need io.views or io.data_dir")
     if not paths:
         raise InputError("no view files found")
-    for p in paths:
-        _require_file(p, "view file")
     return paths
 
 
-def _load_views(paths: list[Path]):
-    views = []
-    for p in paths:
-        try:
-            views.append(load_matrix_market(p))
-        except ValueError as exc:
-            raise InputError(f"cannot parse {p}: {exc}") from exc
-    return views
+def _read_input(path: Path, what: str, reader, *args):
+    """Read one input file; a missing or malformed file is an InputError."""
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path}")
+    try:
+        return reader(path, *args)
+    except ValueError as exc:
+        raise InputError(f"cannot parse {path}: {exc}") from exc
+
+
+def _load_views(cfg: RunConfig):
+    return [_read_input(p, "view file", load_matrix_market)
+            for p in _view_paths(cfg)]
+
+
+def _load_factors(paths: list[Path], views) -> list[np.ndarray]:
+    """One factor per view: a row per view column, the first one's width."""
+    factors = [_read_input(p, "factor file", load_dense_csv) for p in paths]
+    for p, f, view in zip(paths, factors, views):
+        expected = (view.shape[1], factors[0].shape[1])
+        if f.shape != expected:
+            raise InputError(f"{p} is {f.shape[0]} x {f.shape[1]}, "
+                             f"expected {expected[0]} x {expected[1]}")
+    return factors
 
 
 def _write_index_sets(path: Path, signal, outlier) -> None:
@@ -255,8 +264,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
-    paths = _view_paths(cfg)
-    views = _load_views(paths)
+    views = _load_views(cfg)
     config = _from_keys(SolverConfig, "solver", cfg)
     regs = _regularizers(cfg, len(views))
     validate_dimensions(views, config.k)
@@ -274,18 +282,15 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.run_dir"):
         raise ConfigError("metrics needs io.run_dir")
     run_dir = Path(str(cfg.get("io.run_dir")))
-    paths = _view_paths(cfg)
-    views = _load_views(paths)
-    factors = []
-    for i in range(len(views)):
-        factors.append(load_dense_csv(
-            _require_file(run_dir / f"Q_{i}.csv", "factor file")))
-    signal, outlier = _read_index_sets(
-        _require_file(_index_sets_path(cfg), "index set file"))
+    views = _load_views(cfg)
+    factors = _load_factors(
+        [run_dir / f"Q_{i}.csv" for i in range(len(views))], views)
+    signal, outlier = _read_input(_index_sets_path(cfg), "index set file",
+                                  _read_index_sets)
     k = factors[0].shape[1]
     ideal = k * len(views) * (len(views) - 1)
-    trace = Trace.from_csv(
-        _require_file(run_dir / "trace.csv", "trace file"), ideal)
+    trace = _read_input(run_dir / "trace.csv", "trace file", Trace.from_csv,
+                        ideal)
 
     _, percent = synth.total_correlation(views, factors)
     m1 = synth.metric1(views, factors, signal)
@@ -310,16 +315,14 @@ def _index_sets_path(cfg: RunConfig) -> Path:
 
 
 def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
-    paths = _view_paths(cfg)
-    views = _load_views(paths)
+    views = _load_views(cfg)
     if not cfg.get("io.factors"):
         raise ConfigError("eval-retrieval needs io.factors")
     factor_paths = [Path(p.strip())
                     for p in str(cfg.get("io.factors")).split(",") if p.strip()]
     if len(factor_paths) != len(views):
         raise ConfigError("io.factors count must match view count")
-    factors = [load_dense_csv(_require_file(p, "factor file"))
-               for p in factor_paths]
+    factors = _load_factors(factor_paths, views)
     result = retrieval.evaluate_pairs(views, factors)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["query_view,gallery_view,aroc,nn_freq"]
@@ -336,11 +339,11 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.text"):
         raise ConfigError("hash needs io.text")
-    text_path = _require_file(Path(str(cfg.get("io.text"))), "text file")
+    text = _read_input(Path(str(cfg.get("io.text"))), "text file",
+                       Path.read_text, "utf-8")
     spec = retrieval.HashSpec(bits=cfg.get("retrieval.bits"),
                               seed=cfg.get("retrieval.hash_seed"))
-    docs = [line.split() for line in
-            text_path.read_text(encoding="utf-8").splitlines()]
+    docs = [line.split() for line in text.splitlines()]
     view = retrieval.hash_corpus(docs, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(out_dir / f"{cfg.get('io.name')}.mtx", view)
@@ -387,14 +390,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RegularityError, RankDeficiencyError, StepSizeError,
-            EmptyViewError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (InputError, OSError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, StepSizeError, FloatingPointError,
+            ArpackError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -5,7 +5,8 @@ A view is a large, very sparse L x M matrix.  Mean removal and the
 the raw sparse matrix plus the mean row, and the multiplication kernels
 apply the rank-one correction on the fly.  Everything downstream (solver
 updates, metrics, retrieval projections) goes through ``spmm_right`` /
-``spmm_left_t``, so the O(nnz * K) cost model holds end to end.
+``spmm_left_t``, so the O(nnz * K) cost model holds end to end, also in
+the Lanczos runs for sigma_max^2.  Matrix Market files are read by scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 logger = logging.getLogger(__name__)
 
@@ -222,32 +225,37 @@ def polar_factor(m, gram_jitter: float = 0.0) -> np.ndarray:
     return g
 
 
-def spectral_norm_sq(view: SparseView, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest squared singular value.
+def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
+    """Largest squared singular value of a view, by Lanczos on its Gram.
 
-    Runs ``iters`` multiplications with X^T X from a seeded Gaussian
-    start and returns the final Rayleigh quotient, which is monotone
-    nondecreasing in ``iters``.  An all-zero view yields 0.
+    ARPACK runs to machine precision on X^T X, or on X X^T when the view
+    has fewer rows than columns, so its Krylov basis holds min(L, M)-long
+    vectors.  The start is seeded Gaussian and the value converged, so it
+    does not depend on the seed beyond round-off.  A one-row or
+    one-column view takes one product, and a zero view yields 0.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if view.nnz == 0 and not view.centered:
+    l_rows, m_cols = view.shape
+    if m_cols <= l_rows:
+        n, inner, outer = m_cols, spmm_right, spmm_left_t
+    else:
+        n, inner, outer = l_rows, spmm_left_t, spmm_right
+
+    def matvec(v):
+        return outer(view, inner(view, v)).ravel()
+
+    if n == 1:
+        return float(matvec(np.ones(1))[0])
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
+                         k=1, which="LA", tol=0, v0=v0,
+                         return_eigenvectors=False)
+    except ArpackError:
+        # ARPACK stops with "starting vector is zero" on the zero operator
+        if np.any(matvec(v0)):
+            raise
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(view.shape[1])
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    for _ in range(iters):
-        w = spmm_right(view, v)
-        v = spmm_left_t(view, w).ravel()
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        v /= norm
-    w = spmm_right(view, v)
-    return float(w.ravel() @ w.ravel())
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -272,33 +280,20 @@ def save_matrix_market(path, view) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_matrix_market(path, center: bool = False, scale: bool = False) -> SparseView:
-    """Read a coordinate-format file written by :func:`save_matrix_market`.
+def load_matrix_market(path) -> SparseView:
+    """Read a "matrix coordinate real general" file with 1-based indices.
 
-    Accepts any "matrix coordinate real general" file with 1-based
-    indices; comment lines starting with % are skipped.
+    The header is checked first; other Matrix Market kinds (array,
+    integer, pattern, symmetric, ...) are rejected.  Comment lines are
+    skipped, explicit zeros are kept, and a wrong entry count, an
+    out-of-range index, a duplicate entry or a non-finite value raises
+    ``ValueError``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        fields = header.lower().split()
-        if (len(fields) != 5 or fields[0] != "%%matrixmarket"
-                or fields[1:] != ["matrix", "coordinate", "real", "general"]):
-            raise ValueError(f"unsupported Matrix Market header: {header!r}")
-        line = fh.readline()
-        while line and line.lstrip().startswith("%"):
-            line = fh.readline()
-        if not line:
-            raise ValueError("truncated Matrix Market file")
-        rows, cols, nnz = (int(tok) for tok in line.split())
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if data.size == 0:
-        data = np.empty((0, 3))
-    if data.shape[0] != nnz or (nnz and data.shape[1] != 3):
-        raise ValueError("Matrix Market entry count mismatch")
-    return SparseView.from_triplets(
-        data[:, 0].astype(np.int64) - 1,
-        data[:, 1].astype(np.int64) - 1,
-        data[:, 2], (rows, cols), center=center, scale=scale)
+    kind = scipy.io.mminfo(path)[3:]
+    if kind != ("coordinate", "real", "general"):
+        raise ValueError(
+            "unsupported Matrix Market header: " + " ".join(kind))
+    return SparseView(scipy.io.mmread(path))
 
 
 def save_dense_csv(path, arr) -> None:

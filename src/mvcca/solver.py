@@ -66,7 +66,6 @@ class SolverConfig:
     tol_change: float = 1e-6
     safety: float = 0.9
     seed: int = 0
-    power_iters: int = 100
     virtual_clock: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,7 @@ class SolverConfig:
             raise ValueError("c must be in (0, 1)")
         if not 0.0 < self.eps_decay < 1.0:
             raise ValueError("eps_decay must be in (0, 1)")
-        if min(self.sub_max_sweeps, self.outer_max, self.power_iters) < 1:
+        if min(self.sub_max_sweeps, self.outer_max) < 1:
             raise ValueError("counts must be >= 1")
         if self.tol_feas is not None and not self.tol_feas >= 0:
             raise ValueError("tol_feas must be >= 0")
@@ -152,6 +151,8 @@ class Trace:
                 if len(vals) != len(TRACE_COLUMNS):
                     raise ValueError("malformed trace row")
                 trace.append(TraceRow(int(vals[0]), *map(float, vals[1:])))
+        if not trace.rows:
+            raise ValueError("trace has no rows")
         return trace
 
 
@@ -192,13 +193,13 @@ class SolverState:
         dup.sigma_sq = None if self.sigma_sq is None else list(self.sigma_sq)
         return dup
 
-    def ensure_sigma(self, power_iters: int, seed: int) -> None:
-        """Cache the squared spectral norm of every view (seeded power runs)."""
+    def ensure_sigma(self, seed: int) -> None:
+        """Cache the squared spectral norm of every view (seeded Lanczos)."""
         if self.sigma_sq is not None:
             return
         subseeds = np.random.SeedSequence(seed).generate_state(self.num_views)
         self.sigma_sq = [
-            spectral_norm_sq(v, power_iters, int(s))
+            spectral_norm_sq(v, int(s))
             for v, s in zip(self.views, subseeds)]
 
 
@@ -467,7 +468,7 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     if state.k != config.k:
         raise ValueError("initial state disagrees with config.k")
     state.rho = config.rho0
-    state.ensure_sigma(config.power_iters, config.seed)
+    state.ensure_sigma(config.seed)
 
     l_rows = views[0].shape[0]
     tol_feas = (config.tol_feas if config.tol_feas is not None

@@ -1,16 +1,19 @@
 import dataclasses
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvcca.cli import fmt_value, main
 from mvcca.linalg import load_dense_csv, load_matrix_market
 from mvcca.retrieval import HashSpec, hash_corpus
 from mvcca.solver import SolverConfig, Trace
 from mvcca.synth import SynthSpec
+from test_linalg import MALFORMED_MTX
 
 
 def read_echo(path):
@@ -136,6 +139,30 @@ class TestSolveCommand:
         assert code == 3
         assert "step size violation" in err
 
+    def test_arpack_failure_exit_code(self, tmp_path, synth_dir, capsys,
+                                      monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr("mvcca.linalg.eigsh", no_convergence)
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MTX))
+    def test_malformed_view_exit_code(self, tmp_path, synth_dir, capsys,
+                                      name):
+        (synth_dir / "view_1.mtx").write_text(MALFORMED_MTX[name],
+                                              encoding="ascii")
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 4
+        assert "view_1.mtx" in capsys.readouterr().err
+
     def test_resolved_config_fills_defaults(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir))
@@ -223,6 +250,79 @@ class TestMetricsCommand:
         assert row.split(",")[3] == "inf"
 
 
+def _edit_lines(path, edit):
+    lines = path.read_text(encoding="ascii").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="ascii")
+
+
+# file to corrupt, relative to a directory holding data/ and run/, and
+# how; every case is an input file that fails to parse
+BAD_INPUTS = {
+    "factor_ragged": ("run/Q_1.csv", lambda ls: [ls[0].rsplit(",", 1)[0]]
+                      + ls[1:]),
+    "factor_nan": ("run/Q_1.csv", lambda ls: ["nan," + ls[0].split(",", 1)[1]]
+                   + ls[1:]),
+    "factor_rows": ("run/Q_1.csv", lambda ls: ls[:-1]),
+    "factor_width": ("run/Q_1.csv", lambda ls: [line.rsplit(",", 1)[0]
+                                                for line in ls]),
+    "trace_header_only": ("run/trace.csv", lambda ls: ls[:1]),
+    "trace_short_row": ("run/trace.csv", lambda ls: ls[:1] + ["0,0"]),
+    "index_sets_token": ("data/index_sets.txt", lambda ls: ["0 1 x"]
+                         + ls[1:]),
+}
+FACTOR_CASES = [c for c in BAD_INPUTS if c.startswith("factor_")]
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """A synth directory and a solve of it, made once for the module."""
+    root = tmp_path_factory.mktemp("solved")
+    data, run = root / "data", root / "run"
+    assert main(["synth", "--config", write_cfg(root / "synth.cfg",
+                                                SYNTH_CFG),
+                 "--out", str(data)]) == 0
+    assert main(["solve", "--config", write_cfg(
+        root / "solve.cfg", SOLVE_CFG.format(data_dir=data)),
+                 "--out", str(run)]) == 0
+    return root
+
+
+class TestMalformedInputs:
+    """Input files that exist but do not parse exit 4 and are named."""
+
+    @staticmethod
+    def corrupt(solved, tmp_path, case):
+        shutil.copytree(solved / "data", tmp_path / "data")
+        shutil.copytree(solved / "run", tmp_path / "run")
+        name, edit = BAD_INPUTS[case]
+        target = tmp_path / name
+        _edit_lines(target, edit)
+        return target
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_metrics(self, solved, tmp_path, capsys, case):
+        target = self.corrupt(solved, tmp_path, case)
+        cfg = write_cfg(tmp_path / "metrics.cfg",
+                        f"io.data_dir = {tmp_path / 'data'}\n"
+                        f"io.run_dir = {tmp_path / 'run'}\n")
+        assert main(["metrics", "--config", cfg,
+                     "--out", str(tmp_path / "report")]) == 4
+        assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", FACTOR_CASES)
+    def test_eval_retrieval(self, solved, tmp_path, capsys, case):
+        target = self.corrupt(solved, tmp_path, case)
+        views = ",".join(str(tmp_path / "data" / f"view_{i}.mtx")
+                         for i in range(3))
+        factors = ",".join(str(tmp_path / "run" / f"Q_{i}.csv")
+                           for i in range(3))
+        cfg = write_cfg(tmp_path / "eval.cfg",
+                        f"io.views = {views}\nio.factors = {factors}\n")
+        assert main(["eval-retrieval", "--config", cfg,
+                     "--out", str(tmp_path / "eval")]) == 4
+        assert str(target) in capsys.readouterr().err
+
+
 class TestHashAndRetrievalCommands:
     def test_hash_round_trip(self, tmp_path):
         text = tmp_path / "docs.txt"
@@ -237,6 +337,14 @@ class TestHashAndRetrievalCommands:
                 text.read_text().splitlines()]
         ref = hash_corpus(docs, HashSpec(bits=9, seed=5))
         assert (view.raw != ref.raw).nnz == 0
+
+    def test_undecodable_text_exit_code(self, tmp_path, capsys):
+        text = tmp_path / "docs.txt"
+        text.write_bytes(b"caf\xe9 au lait\n")
+        cfg = write_cfg(tmp_path / "hash.cfg", f"io.text = {text}\n")
+        assert main(["hash", "--config", cfg,
+                     "--out", str(tmp_path / "hashed")]) == 4
+        assert str(text) in capsys.readouterr().err
 
     def test_eval_retrieval(self, tmp_path, synth_dir):
         solve_cfg = write_cfg(tmp_path / "solve.cfg",
@@ -399,17 +507,22 @@ class TestKeysMirrorDataclasses:
         assert code == 2
         assert "tol_feas" in err
 
-    @pytest.mark.parametrize("line", ["solver.eta0 = nan",
-                                      "solver.tol_change = -5",
-                                      "solver.safety = 0",
-                                      "solver.power_iters = 0"])
+    # power_iters is no longer a knob: a stale key fails as unknown
+    KNOB_CASES = {"solver.eta0 = nan": "eta0",
+                  "solver.tol_change = -5": "tol_change",
+                  "solver.safety = 0": "safety",
+                  "solver.power_iters = 0": "unknown config key"}
+
+    @pytest.mark.parametrize("line", list(KNOB_CASES))
     def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
                                         line):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir) + line + "\n")
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert self.KNOB_CASES[line] in err
 
     def test_readme_key_table_lists_fields(self):
         readme = (Path(__file__).resolve().parents[1]

@@ -8,6 +8,7 @@ from mvcca.linalg import (MM_HEADER, RankDeficiencyError, SparseView,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
                           save_matrix_market, spectral_norm_sq, spmm_left_t,
                           spmm_right)
+from mvcca.solver import EmptyViewError, init_random, step_size
 
 from oracles import materialize, pairwise_inner_loop, random_stiefel
 
@@ -175,32 +176,83 @@ class TestSpectralNorm:
 
     def test_diagonal(self):
         view = SparseView(np.diag([3.0, 1.0]))
-        assert spectral_norm_sq(view, iters=50, seed=0) \
-            == pytest.approx(9.0, abs=1e-6)
+        assert spectral_norm_sq(view, seed=0) == pytest.approx(9.0, abs=1e-6)
 
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(5)
         view = random_sparse_view(rng, 50, 30, 0.15)
         exact = np.linalg.svd(materialize(view), compute_uv=False)[0] ** 2
-        est = spectral_norm_sq(view, iters=100, seed=1)
-        assert abs(est - exact) <= 0.01 * exact
+        est = spectral_norm_sq(view, seed=1)
+        assert abs(est - exact) <= 1e-12 * exact
+
+    def test_near_degenerate_top_pair(self):
+        view = SparseView(np.diag([1.0, 1.0 - 1e-12, 0.5]))
+        assert abs(spectral_norm_sq(view, seed=2) - 1.0) <= 1e-12
+
+    def test_seeds_agree(self):
+        rng = np.random.default_rng(7)
+        view = random_sparse_view(rng, 80, 40, 0.1, center=True)
+        a, b = spectral_norm_sq(view, seed=3), spectral_norm_sq(view, seed=4)
+        assert abs(a - b) <= 1e-12 * a
+
+    def test_wide_view_matches_dense_svd(self):
+        # fewer rows than columns: Lanczos runs on X X^T
+        rng = np.random.default_rng(6)
+        view = random_sparse_view(rng, 20, 70, 0.2, center=True)
+        exact = np.linalg.svd(materialize(view), compute_uv=False)[0] ** 2
+        assert abs(spectral_norm_sq(view, seed=1) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("rows", [[[3.0], [4.0], [0.0]],
+                                      [[3.0, 4.0, 0.0]]])
+    def test_one_row_or_column(self, rows, center):
+        view = SparseView(np.array(rows), center=center)
+        exact = float(np.sum(materialize(view) ** 2))
+        assert spectral_norm_sq(view) == pytest.approx(exact, rel=1e-15)
 
     def test_zero_view(self):
         view = SparseView(sp.csr_matrix((4, 3)))
         assert spectral_norm_sq(view) == 0.0
 
-    def test_monotone_in_iters(self):
-        rng = np.random.default_rng(6)
-        view = random_sparse_view(rng, 30, 20, 0.2)
-        vals = [spectral_norm_sq(view, iters=k, seed=3)
-                for k in (1, 2, 5, 10, 25, 60)]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    def test_centered_constant_columns(self):
+        # centering cancels every entry: X^T X is the zero operator
+        flat = SparseView(np.tile([1.0, 2.0, -3.0], (4, 1)), center=True)
+        assert spectral_norm_sq(flat) == 0.0
+        state = init_random([flat, SparseView(np.eye(4))], 1, seed=0)
+        state.ensure_sigma(seed=0)
+        assert state.sigma_sq[0] == 0.0
+        with pytest.raises(EmptyViewError):
+            step_size(0, state, 1.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         view = random_sparse_view(rng, 25, 12, 0.3)
-        assert spectral_norm_sq(view, 40, seed=9) \
-            == spectral_norm_sq(view, 40, seed=9)
+        assert spectral_norm_sq(view, seed=9) == spectral_norm_sq(view, seed=9)
+
+
+_MM_BANNER = MM_HEADER + "\n"
+
+# malformed or unsupported Matrix Market files; each must raise ValueError
+MALFORMED_MTX = {
+    "count_short": _MM_BANNER + "2 3 2\n1 1 1.5\n",
+    "count_long": _MM_BANNER + "2 3 1\n1 1 1.5\n2 3 2.5\n",
+    "row_zero": _MM_BANNER + "2 3 1\n0 1 1.5\n",
+    "col_zero": _MM_BANNER + "2 3 1\n1 0 1.5\n",
+    "row_past": _MM_BANNER + "2 3 1\n3 1 1.5\n",
+    "col_past": _MM_BANNER + "2 3 1\n1 4 1.5\n",
+    "duplicate": _MM_BANNER + "2 3 2\n1 1 1.5\n1 1 2.5\n",
+    "nan": _MM_BANNER + "2 3 1\n1 1 nan\n",
+    "symmetric": "%%MatrixMarket matrix coordinate real symmetric\n"
+                 "2 2 1\n1 1 1.5\n",
+    "integer": "%%MatrixMarket matrix coordinate integer general\n"
+               "2 2 1\n1 1 1\n",
+    "pattern": "%%MatrixMarket matrix coordinate pattern general\n"
+               "2 2 1\n1 1\n",
+    "array": "%%MatrixMarket matrix array real general\n1 1\n0\n",
+    "all_caps_banner": _MM_BANNER.upper() + "2 2 1\n1 1 1.5\n",
+    "empty": "",
+    "junk_banner": "not a matrix\n2 2 1\n1 1 1.5\n",
+}
 
 
 class TestMatrixMarketIO:
@@ -243,6 +295,24 @@ class TestMatrixMarketIO:
         path.write_text("%%MatrixMarket matrix array real general\n1 1\n0\n")
         with pytest.raises(ValueError, match="header"):
             load_matrix_market(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MTX))
+    def test_malformed_rejected(self, tmp_path, name):
+        path = tmp_path / "v.mtx"
+        path.write_text(MALFORMED_MTX[name], encoding="ascii")
+        with pytest.raises(ValueError):
+            load_matrix_market(path)
+
+    def test_comments_skipped_and_zeros_kept(self, tmp_path):
+        path = tmp_path / "v.mtx"
+        path.write_text(_MM_BANNER + "% a comment\n%\n2 3 2\n"
+                        "1 2 1.5\n2 3 0\n", encoding="ascii")
+        view = load_matrix_market(path)
+        assert view.shape == (2, 3)
+        assert view.nnz == 2
+        np.testing.assert_array_equal(view.raw.indptr, [0, 1, 2])
+        np.testing.assert_array_equal(view.raw.indices, [1, 2])
+        np.testing.assert_array_equal(view.raw.data, [1.5, 0.0])
 
     def test_identical_bytes_for_identical_views(self, tmp_path):
         rng = np.random.default_rng(13)

@@ -29,7 +29,7 @@ def random_state(rng, n_views=3, l_rows=10, k=2, seed=0):
         state.q[i] = rng.standard_normal(state.q[i].shape)
         state.p[i] = spmm_right(views[i], state.q[i])
         state.y[i] = rng.standard_normal((l_rows, k))
-    state.ensure_sigma(100, seed)
+    state.ensure_sigma(seed)
     return state
 
 
@@ -41,7 +41,7 @@ def aligned_state(l_rows=6, k=2, n_views=2, seed=0):
     state = SolverState(views, [g0.copy() for _ in range(n_views)],
                         [g0.copy() for _ in range(n_views)],
                         [np.zeros((l_rows, k)) for _ in range(n_views)])
-    state.ensure_sigma(100, seed)
+    state.ensure_sigma(seed)
     return state
 
 
@@ -538,7 +538,7 @@ class TestSolverConfig:
                dict(safety=-1.0), dict(safety=nan), dict(safety=inf),
                dict(eta0=0.0), dict(eta0=nan), dict(tol_feas=-1.0),
                dict(tol_feas=nan), dict(tol_change=-5.0),
-               dict(tol_change=nan), dict(power_iters=0),
+               dict(tol_change=nan),
                dict(sub_max_sweeps=0), dict(outer_max=0)]
         for kwargs in bad:
             with pytest.raises(ValueError):
