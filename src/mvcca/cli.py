@@ -130,10 +130,7 @@ class RunConfig:
 
 
 def parse_config(path: Path) -> RunConfig:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}") from exc
+    text = _read_input(path, "config file", Path.read_text, "utf-8")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()

@@ -1,12 +1,11 @@
 """Sparse views and the thin dense kernels the solvers are built on.
 
-A view is a large, very sparse L x M matrix.  Mean removal and the
-1/sqrt(L) sample scaling are never materialized: a ``SparseView`` keeps
-the raw sparse matrix plus the mean row, and the multiplication kernels
-apply the rank-one correction on the fly.  Everything downstream (solver
-updates, metrics, retrieval projections) goes through ``spmm_right`` /
-``spmm_left_t``, so the O(nnz * K) cost model holds end to end, also in
-the Lanczos runs for sigma_max^2.  Matrix Market files are read by scipy.
+A view is a large, very sparse L x M matrix, held in CSR layout exactly
+as given.  Everything downstream (solver updates, metrics, retrieval
+projections) multiplies by it through ``spmm_right`` / ``spmm_left_t``,
+one sparse product each, so the O(nnz * K) cost model holds end to end,
+also in the Lanczos runs for sigma_max^2.  Matrix Market files are read
+by scipy.
 """
 
 from __future__ import annotations
@@ -33,26 +32,15 @@ class RankDeficiencyError(ValueError):
 class SparseView:
     """One data view: an immutable L x M sparse matrix in CSR layout.
 
-    Parameters
-    ----------
-    matrix : scipy sparse matrix or dense array
-        Raw data, one row per entity.  Duplicate (row, col) entries and
-        non-finite values are rejected.
-    center : bool
-        If True, the view behaves as ``raw - 1 d^T`` with ``d`` the
-        column-mean row.  The correction is applied inside the
-        multiplication kernels; the stored matrix stays sparse.
-    scale : bool
-        If True, results carry an extra 1/sqrt(L) factor.
-    mean_row : array, optional
-        Precomputed column means.  Only allowed with ``center=True`` and
-        checked against the actual column means of ``matrix``.
+    ``matrix`` is any scipy sparse matrix or dense array, one row per
+    entity.  Duplicate (row, col) entries and non-finite values are
+    rejected.  The view is used as given: callers who want centered or
+    scaled data transform it before building the view.
     """
 
-    __slots__ = ("raw", "mean", "scale_flag", "_scale")
+    __slots__ = ("raw",)
 
-    def __init__(self, matrix, center: bool = False, scale: bool = False,
-                 mean_row=None):
+    def __init__(self, matrix):
         coo = sp.coo_matrix(matrix)
         if coo.shape[0] < 1 or coo.shape[1] < 1:
             raise ValueError("view dimensions must be positive")
@@ -68,35 +56,6 @@ class SparseView:
         self.raw.sort_indices()
         self.raw.data = self.raw.data.astype(np.float64, copy=False)
 
-        if mean_row is not None and not center:
-            raise ValueError("mean_row given but centering disabled")
-        if center:
-            col_means = np.asarray(self.raw.mean(axis=0)).ravel()
-            if mean_row is not None:
-                mean_row = np.asarray(mean_row, dtype=np.float64).ravel()
-                if mean_row.shape != col_means.shape:
-                    raise ValueError("mean_row has wrong length")
-                if not np.allclose(mean_row, col_means, atol=1e-12, rtol=1e-9):
-                    raise ValueError("mean_row does not match column means")
-                self.mean = mean_row
-            else:
-                self.mean = col_means
-        else:
-            self.mean = None
-        self.scale_flag = bool(scale)
-        self._scale = 1.0 / np.sqrt(self.raw.shape[0]) if scale else 1.0
-
-    @classmethod
-    def from_triplets(cls, rows, cols, values, shape, **kwargs) -> "SparseView":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
-                          or cols.min() < 0 or cols.max() >= shape[1]):
-            raise ValueError("triplet index out of range")
-        mat = sp.coo_matrix((values, (rows, cols)), shape=shape)
-        return cls(mat, **kwargs)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.raw.shape
@@ -105,34 +64,17 @@ class SparseView:
     def nnz(self) -> int:
         return self.raw.nnz
 
-    @property
-    def centered(self) -> bool:
-        return self.mean is not None
-
-    @property
-    def scale(self) -> float:
-        return self._scale
-
     def select_columns(self, idx) -> "SparseView":
-        """Sub-view on a column subset; centering metadata carries over."""
+        """Sub-view on a column subset, without re-validation."""
         idx = np.asarray(idx, dtype=np.int64)
         sub = SparseView.__new__(SparseView)
         sub.raw = self.raw[:, idx].tocsr()
         sub.raw.sort_indices()
-        sub.mean = self.mean[idx].copy() if self.centered else None
-        sub.scale_flag = self.scale_flag
-        sub._scale = self._scale
         return sub
 
     def __repr__(self) -> str:
         l_rows, m_cols = self.shape
-        tags = []
-        if self.centered:
-            tags.append("centered")
-        if self.scale_flag:
-            tags.append("scaled")
-        extra = " " + ",".join(tags) if tags else ""
-        return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}{extra}>"
+        return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}>"
 
 
 def _as_dense(d, rows_needed: int, what: str) -> np.ndarray:
@@ -150,29 +92,13 @@ def _as_dense(d, rows_needed: int, what: str) -> np.ndarray:
 
 
 def spmm_right(view: SparseView, dense) -> np.ndarray:
-    """Compute ``X @ D`` for an M x K dense block, centering implied.
-
-    The centered product is ``scale * (raw @ D - 1 (d^T D))``: one sparse
-    product plus a rank-one correction, O(nnz * K + (L + M) * K).
-    """
-    d = _as_dense(dense, view.shape[1], "right operand")
-    out = view.raw @ d
-    if view.centered:
-        out -= view.mean @ d
-    if view.scale_flag:
-        out *= view._scale
-    return out
+    """Compute ``X @ D`` for an M x K dense block: O(nnz * K)."""
+    return view.raw @ _as_dense(dense, view.shape[1], "right operand")
 
 
 def spmm_left_t(view: SparseView, dense) -> np.ndarray:
-    """Compute ``X.T @ D`` for an L x K dense block, centering implied."""
-    d = _as_dense(dense, view.shape[0], "left operand")
-    out = view.raw.T @ d
-    if view.centered:
-        out -= np.outer(view.mean, d.sum(axis=0))
-    if view.scale_flag:
-        out *= view._scale
-    return out
+    """Compute ``X.T @ D`` for an L x K dense block: O(nnz * K)."""
+    return view.raw.T @ _as_dense(dense, view.shape[0], "left operand")
 
 
 def polar_factor(m, gram_jitter: float = 0.0) -> np.ndarray:

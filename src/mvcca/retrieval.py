@@ -9,7 +9,7 @@ candidates by Euclidean distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
@@ -181,13 +181,11 @@ class PairScore:
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Scores for every ordered view pair plus per-view and global means."""
+    """Scores for every ordered view pair plus their means."""
 
     pairs: list[PairScore]
-    per_view_aroc: dict[int, float] = field(repr=False)
-    per_view_nn_freq: dict[int, float] = field(repr=False)
-    mean_aroc: float = 0.0
-    mean_nn_freq: float = 0.0
+    mean_aroc: float
+    mean_nn_freq: float
 
 
 def evaluate_pairs(test_views, factors) -> RetrievalResult:
@@ -218,16 +216,7 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
             pairs.append(PairScore(
                 i, j, float(np.mean(_aroc_percent(ranks, n_rows))),
                 _nn_percent(ranks)))
-
-    per_aroc = {}
-    per_nn = {}
-    for i in range(len(views)):
-        mine = [p for p in pairs if p.query_view == i]
-        per_aroc[i] = float(np.mean([p.aroc for p in mine]))
-        per_nn[i] = float(np.mean([p.nn_freq for p in mine]))
     return RetrievalResult(
         pairs=pairs,
-        per_view_aroc=per_aroc,
-        per_view_nn_freq=per_nn,
         mean_aroc=float(np.mean([p.aroc for p in pairs])),
         mean_nn_freq=float(np.mean([p.nn_freq for p in pairs])))

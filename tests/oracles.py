@@ -11,13 +11,8 @@ import scipy.sparse as sp
 
 
 def materialize(view):
-    """Densify a view by hand, applying centering/scaling explicitly."""
-    dense = np.asarray(view.raw.todense())
-    if view.centered:
-        dense = dense - np.outer(np.ones(dense.shape[0]), view.mean)
-    if view.scale_flag:
-        dense = dense / np.sqrt(dense.shape[0])
-    return dense
+    """Densify a view by hand."""
+    return np.asarray(view.raw.todense())
 
 
 def stack_views(views):

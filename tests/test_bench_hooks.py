@@ -29,7 +29,9 @@ def test_tracer_counts_solver_and_retrieval_work():
     finally:
         tracer.uninstall()
     counts = tracer.take()
+    # the spmm work figures read the views' ``raw`` and ``nnz``
     for name in ("solver.sweeps", "solver.subsolver_calls",
                  "solver.outer_iters", "solver.dual_steps",
-                 "retrieval.distance_entries"):
+                 "retrieval.distance_entries", "linalg.spmm.gflop_computed",
+                 "linalg.spmm.gb_computed"):
         assert counts.get(name, 0) > 0, name

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvcca.cli import fmt_value, main
-from mvcca.linalg import load_dense_csv, load_matrix_market
+from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
 from mvcca.retrieval import HashSpec, hash_corpus
 from mvcca.solver import SolverConfig, Trace
 from mvcca.synth import SynthSpec
@@ -198,6 +199,48 @@ class TestSolveCommand:
         assert a != b
 
 
+def _zero_row_and_column(x):
+    x[4] = 0.0
+    x[:, 2] = 0.0
+
+
+# degenerate solves on 30-row Gaussian views; view 0 is edited first.
+# name: (column count per view, K, edit of view 0, exit code, stderr text)
+DEGENERATE_SOLVES = {
+    "zero_row_and_column": ((8, 8, 8), 2, _zero_row_and_column, 0, ""),
+    "two_views": ((8, 8), 3, None, 0, ""),
+    # the mean column count must reach (K+1)/2
+    "k_at_regularity_bound": ((3, 3), 5, None, 0, ""),
+    "k_past_regularity_bound": ((3, 3), 6, None, 3,
+                                "regularity check failed"),
+    "zero_view": ((8, 8), 2, lambda x: x.fill(0.0), 3, "empty view"),
+}
+
+
+class TestDegenerateSolves:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SOLVES))
+    def test_exit_code(self, tmp_path, capsys, name):
+        cols, k, edit, code, message = DEGENERATE_SOLVES[name]
+        rng = np.random.default_rng(21)
+        paths = []
+        for i, m in enumerate(cols):
+            x = rng.standard_normal((30, m))
+            if i == 0 and edit is not None:
+                edit(x)
+            paths.append(tmp_path / f"view_{i}.mtx")
+            save_matrix_market(paths[-1], sp.csr_matrix(x))
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        f"solver.k = {k}\nsolver.outer_max = 20\n"
+                        f"io.views = {','.join(map(str, paths))}\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg,
+                     "--out", str(run_dir)]) == code
+        assert message in capsys.readouterr().err
+        if code == 0:
+            for i, m in enumerate(cols):
+                assert load_dense_csv(run_dir / f"Q_{i}.csv").shape == (m, k)
+
+
 class TestMetricsCommand:
     def test_report_written(self, tmp_path, synth_dir):
         solve_cfg = write_cfg(tmp_path / "solve.cfg",
@@ -374,6 +417,16 @@ class TestConfigParsing:
                                "--out", str(tmp_path / "run"))
         assert code == 2
         assert "key = value" in err
+
+    @pytest.mark.parametrize("content", [None, b"io.data_dir = caf\xe9\n"],
+                             ids=["missing", "undecodable"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+        cfg = tmp_path / "solve.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 4
+        assert str(cfg) in capsys.readouterr().err
 
     def test_duplicate_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "solver.k = 3\nsolver.k = 4\n")

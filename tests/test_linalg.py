@@ -13,49 +13,39 @@ from mvcca.solver import EmptyViewError, init_random, step_size
 from oracles import materialize, pairwise_inner_loop, random_stiefel
 
 
-def random_sparse_view(rng, rows, cols, density, **kwargs):
+def coo_view(rows, cols, values, shape):
+    return SparseView(sp.coo_matrix((values, (rows, cols)), shape=shape))
+
+
+def random_sparse_view(rng, rows, cols, density):
     nnz = max(1, int(round(density * rows * cols)))
     flat = rng.choice(rows * cols, size=nnz, replace=False)
     r, c = np.divmod(flat, cols)
-    return SparseView.from_triplets(r, c, rng.standard_normal(nnz),
-                                    (rows, cols), **kwargs)
+    return coo_view(r, c, rng.standard_normal(nnz), (rows, cols))
 
 
 class TestSparseView:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SparseView.from_triplets([0, 0], [1, 1], [1.0, 2.0], (2, 2))
+            coo_view([0, 0], [1, 1], [1.0, 2.0], (2, 2))
 
     def test_non_adjacent_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SparseView.from_triplets([0, 1, 0], [0, 1, 0], [1.0, 2.0, 3.0],
-                                     (2, 2))
+            coo_view([0, 1, 0], [0, 1, 0], [1.0, 2.0, 3.0], (2, 2))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             SparseView(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseView.from_triplets([0], [5], [1.0], (2, 2))
-
-    def test_mean_row_checked(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        SparseView(x, center=True, mean_row=[2.0, 3.0])
-        with pytest.raises(ValueError, match="does not match"):
-            SparseView(x, center=True, mean_row=[0.0, 0.0])
-        with pytest.raises(ValueError, match="centering disabled"):
-            SparseView(x, mean_row=[2.0, 3.0])
-
-    def test_centered_columns_sum_to_zero(self):
-        rng = np.random.default_rng(0)
-        view = random_sparse_view(rng, 15, 6, 0.4, center=True, scale=True)
-        dense = materialize(view)
-        assert np.abs(dense.sum(axis=0)).max() <= 1e-10
+        with pytest.raises(ValueError, match="exceeds matrix dimension"):
+            coo_view([0], [5], [1.0], (2, 2))
+        with pytest.raises(ValueError, match="negative"):
+            coo_view([-1], [0], [1.0], (2, 2))
 
     def test_select_columns(self):
         rng = np.random.default_rng(1)
-        view = random_sparse_view(rng, 10, 8, 0.3, center=True)
+        view = random_sparse_view(rng, 10, 8, 0.3)
         sub = view.select_columns([1, 4, 6])
         assert sub.shape == (10, 3)
         np.testing.assert_allclose(materialize(sub),
@@ -70,7 +60,7 @@ class TestSpmm:
         np.testing.assert_array_equal(spmm_right(view, d), d)
 
     def test_right_single_entry(self):
-        view = SparseView.from_triplets([0], [1], [5.0], (2, 2))
+        view = coo_view([0], [1], [5.0], (2, 2))
         d = np.array([[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_array_equal(spmm_right(view, d),
                                       [[5.0, 0.0], [0.0, 0.0]])
@@ -81,16 +71,14 @@ class TestSpmm:
         np.testing.assert_array_equal(spmm_left_t(view, d), d)
 
     def test_left_t_single_entry(self):
-        view = SparseView.from_triplets([0], [1], [5.0], (2, 2))
+        view = coo_view([0], [1], [5.0], (2, 2))
         d = np.array([[2.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(spmm_left_t(view, d),
                                       [[0.0, 0.0], [10.0, 0.0]])
 
-    @pytest.mark.parametrize("center,scale", [(False, False), (True, False),
-                                              (True, True), (False, True)])
-    def test_matches_dense_oracle(self, center, scale):
+    def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        view = random_sparse_view(rng, 20, 10, 0.2, center=center, scale=scale)
+        view = random_sparse_view(rng, 20, 10, 0.2)
         dense = materialize(view)
         d_right = rng.standard_normal((10, 3))
         d_left = rng.standard_normal((20, 3))
@@ -191,34 +179,28 @@ class TestSpectralNorm:
 
     def test_seeds_agree(self):
         rng = np.random.default_rng(7)
-        view = random_sparse_view(rng, 80, 40, 0.1, center=True)
+        view = random_sparse_view(rng, 80, 40, 0.1)
         a, b = spectral_norm_sq(view, seed=3), spectral_norm_sq(view, seed=4)
         assert abs(a - b) <= 1e-12 * a
 
     def test_wide_view_matches_dense_svd(self):
         # fewer rows than columns: Lanczos runs on X X^T
         rng = np.random.default_rng(6)
-        view = random_sparse_view(rng, 20, 70, 0.2, center=True)
+        view = random_sparse_view(rng, 20, 70, 0.2)
         exact = np.linalg.svd(materialize(view), compute_uv=False)[0] ** 2
         assert abs(spectral_norm_sq(view, seed=1) - exact) <= 1e-12 * exact
 
-    @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("rows", [[[3.0], [4.0], [0.0]],
                                       [[3.0, 4.0, 0.0]]])
-    def test_one_row_or_column(self, rows, center):
-        view = SparseView(np.array(rows), center=center)
+    def test_one_row_or_column(self, rows):
+        view = SparseView(np.array(rows))
         exact = float(np.sum(materialize(view) ** 2))
         assert spectral_norm_sq(view) == pytest.approx(exact, rel=1e-15)
 
     def test_zero_view(self):
-        view = SparseView(sp.csr_matrix((4, 3)))
-        assert spectral_norm_sq(view) == 0.0
-
-    def test_centered_constant_columns(self):
-        # centering cancels every entry: X^T X is the zero operator
-        flat = SparseView(np.tile([1.0, 2.0, -3.0], (4, 1)), center=True)
-        assert spectral_norm_sq(flat) == 0.0
-        state = init_random([flat, SparseView(np.eye(4))], 1, seed=0)
+        zero = SparseView(sp.csr_matrix((4, 3)))
+        assert spectral_norm_sq(zero) == 0.0
+        state = init_random([zero, SparseView(np.eye(4))], 1, seed=0)
         state.ensure_sigma(seed=0)
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
@@ -266,7 +248,7 @@ class TestMatrixMarketIO:
         assert (back.raw != view.raw).nnz == 0
 
     def test_header_and_one_based_indices(self, tmp_path):
-        view = SparseView.from_triplets([0], [2], [1.5], (2, 3))
+        view = coo_view([0], [2], [1.5], (2, 3))
         path = tmp_path / "v.mtx"
         save_matrix_market(path, view)
         lines = path.read_text().splitlines()

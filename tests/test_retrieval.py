@@ -143,7 +143,7 @@ class TestProject:
         np.testing.assert_array_equal(project(view, q), q)
 
     def test_single_entry(self):
-        view = SparseView.from_triplets([0], [1], [5.0], (2, 2))
+        view = SparseView(np.array([[0.0, 5.0], [0.0, 0.0]]))
         q = np.array([[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_array_equal(project(view, q),
                                       [[5.0, 0.0], [0.0, 0.0]])
@@ -279,7 +279,6 @@ class TestEvaluatePairs:
         factors = [rng.standard_normal((4, 2)) for _ in range(4)]
         result = evaluate_pairs(views, factors)
         assert len(result.pairs) == 4 * 3
-        assert set(result.per_view_aroc) == {0, 1, 2, 3}
 
     def test_misaligned_rows_rejected(self):
         rng = np.random.default_rng(20)
