@@ -206,6 +206,19 @@ class TestSpectralNorm:
         with pytest.raises(EmptyViewError):
             step_size(0, state, 1.0)
 
+    def test_centered_constant_columns(self):
+        # views are used as given, so the caller centers: constant columns
+        # minus their means cancel every entry and X^T X is the zero operator
+        dense = np.tile([1.0, 2.0, -3.0], (4, 1))
+        flat = SparseView(dense - dense.mean(axis=0))
+        assert flat.nnz == 0
+        assert spectral_norm_sq(flat) == 0.0
+        state = init_random([flat, SparseView(np.eye(4))], 1, seed=0)
+        state.ensure_sigma(seed=0)
+        assert state.sigma_sq[0] == 0.0
+        with pytest.raises(EmptyViewError):
+            step_size(0, state, 1.0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         view = random_sparse_view(rng, 25, 12, 0.3)
