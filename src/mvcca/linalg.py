@@ -5,7 +5,7 @@ as given.  Everything downstream (solver updates, metrics, retrieval
 projections) multiplies by it through ``spmm_right`` / ``spmm_left_t``,
 one sparse product each, so the O(nnz * K) cost model holds end to end,
 also in the Lanczos runs for sigma_max^2.  Matrix Market files are read
-by scipy.
+and written by scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 logger = logging.getLogger(__name__)
-
-MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 _ORTHO_TOL = 1e-10
 _EIG_FLOOR = 1e-14
@@ -46,13 +44,10 @@ class SparseView:
             raise ValueError("view dimensions must be positive")
         if not np.all(np.isfinite(coo.data)):
             raise ValueError("view contains non-finite values")
-        if coo.nnz:
-            # a sort plus an adjacent test: np.unique on int64 keys takes a
-            # hash path that costs tens of times more
-            keys = np.sort(coo.row.astype(np.int64) * coo.shape[1] + coo.col)
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("duplicate (row, col) entries in view")
+        # tocsr sums duplicates but keeps explicit zeros
         self.raw = coo.tocsr()
+        if self.raw.nnz != coo.nnz:
+            raise ValueError("duplicate (row, col) entries in view")
         self.raw.sort_indices()
         self.raw.data = self.raw.data.astype(np.float64, copy=False)
 
@@ -189,21 +184,14 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
 
 
 def save_matrix_market(path, view) -> None:
-    """Write a view (or scipy sparse matrix) in coordinate format.
+    """Write a view (or scipy sparse matrix) through scipy's writer.
 
-    Entries are 1-based on disk, emitted in row-major order with %.17g
-    values, so identical matrices produce identical bytes.
+    Entries are 1-based in CSR order with shortest round-trip values, so
+    identical matrices give identical bytes.  The kind is pinned to the
+    "real general" the loader accepts, also for symmetric or integer input.
     """
     mat = view.raw if isinstance(view, SparseView) else sp.csr_matrix(view)
-    mat = mat.tocsr()
-    mat.sort_indices()
-    coo = mat.tocoo()
-    lines = [MM_HEADER, f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}"]
-    lines.extend(
-        f"{i + 1} {j + 1} {v:.17g}"
-        for i, j, v in zip(coo.row, coo.col, coo.data))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    scipy.io.mmwrite(path, mat, field="real", symmetry="general")
 
 
 def load_matrix_market(path) -> SparseView:

@@ -56,37 +56,31 @@ def hash_featurize(tokens, spec: HashSpec) -> sp.csr_matrix:
     expected inner product of two hashed rows equals the bag-of-words
     inner product.  An empty sequence gives the zero row.
     """
-    return _hash_row(tokens, spec, {})
-
-
-def _hash_row(tokens, spec: HashSpec,
-              memo: dict[str, tuple[int, float]]) -> sp.csr_matrix:
-    # ``memo`` maps tokens to their (slot, sign); a corpus shares one, so
-    # each distinct token is hashed once
-    accum: dict[int, float] = {}
-    for tok in tokens:
-        hit = memo.get(tok)
-        if hit is None:
-            hit = memo[tok] = _token_slot_sign(tok, spec)
-        slot, sign = hit
-        accum[slot] = accum.get(slot, 0.0) + sign
-    if not accum:
-        return sp.csr_matrix((1, spec.slots), dtype=np.float64)
-    cols = np.fromiter(accum.keys(), dtype=np.int64, count=len(accum))
-    vals = np.fromiter(accum.values(), dtype=np.float64, count=len(accum))
-    order = np.argsort(cols)
-    mat = sp.csr_matrix((vals[order], cols[order], np.array([0, len(cols)])),
-                        shape=(1, spec.slots))
-    return mat
+    return hash_corpus([tokens], spec).raw
 
 
 def hash_corpus(documents, spec: HashSpec) -> SparseView:
-    """Hash a sequence of token lists into one view, one row per document."""
+    """Hash a sequence of token lists into one view, one row per document.
+
+    Each distinct token is hashed once.  A document's occurrences in one
+    slot are summed, and a sum that cancels stays an explicit zero.
+    """
     memo: dict[str, tuple[int, float]] = {}
-    rows = [_hash_row(doc, spec, memo) for doc in documents]
-    if not rows:
+    rows, slots, signs = [], [], []
+    row = -1
+    for row, doc in enumerate(documents):
+        for tok in doc:
+            if tok not in memo:
+                memo[tok] = _token_slot_sign(tok, spec)
+            slot, sign = memo[tok]
+            rows.append(row)
+            slots.append(slot)
+            signs.append(sign)
+    if row < 0:
         raise ValueError("empty corpus")
-    return SparseView(sp.vstack(rows).tocsr())
+    # converting the triplets to CSR sums the (row, slot) duplicates
+    return SparseView(sp.csr_matrix((signs, (rows, slots)),
+                                    shape=(row + 1, spec.slots)))
 
 
 def split_rows(n_rows: int, seed: int,

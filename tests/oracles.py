@@ -6,6 +6,8 @@ finite differences.  Keep these free of calls into the code paths they
 verify.
 """
 
+from hashlib import blake2b
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -18,6 +20,28 @@ def materialize(view):
 def stack_views(views):
     """Horizontally concatenate the raw view matrices."""
     return sp.hstack([v.raw for v in views]).tocsr()
+
+
+def hashed_rows(docs, bits, seed):
+    """Signed feature hashing by hand: one {slot: value} dict per document.
+
+    Follows the ``HashSpec`` contract: BLAKE2b with a 9-byte digest, keyed
+    by the seed's eight little-endian bytes; the first eight digest bytes,
+    read little-endian, pick the slot modulo 2**bits, and the low bit of
+    the ninth picks the sign (+1 when set).  Every occurrence adds its
+    sign, so cancelled slots stay in the dict with value 0.
+    """
+    key = seed.to_bytes(8, "little")
+    rows = []
+    for doc in docs:
+        row = {}
+        for tok in doc:
+            digest = blake2b(tok.encode("utf-8"), digest_size=9,
+                             key=key).digest()
+            slot = int.from_bytes(digest[:8], "little") % 2 ** bits
+            row[slot] = row.get(slot, 0.0) + (1.0 if digest[8] % 2 else -1.0)
+        rows.append(row)
+    return rows
 
 
 def random_stiefel(rng, rows, cols, count):

@@ -35,3 +35,23 @@ def test_tracer_counts_solver_and_retrieval_work():
                  "retrieval.distance_entries", "linalg.spmm.gflop_computed",
                  "linalg.spmm.gb_computed"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_tracer_counts_hashed_tokens_and_matrix_market_entries(tmp_path):
+    docs = [["a", "b", "a"], [], ["c", "b", "d", "a"]]
+    view = mvcca.SparseView(np.array([[0.5, 0.0, 2.0], [0.0, -1.0, 0.0]]))
+    path = tmp_path / "v.mtx"
+    tracer = layers.LayerTracer()
+    tracer.install()
+    try:
+        mvcca.hash_corpus(docs, mvcca.HashSpec(bits=6, seed=1))
+        hashing = tracer.take()
+        mvcca.save_matrix_market(path, view)
+        mvcca.load_matrix_market(path)
+        io = tracer.take()
+    finally:
+        tracer.uninstall()
+    # the hash is counted through the module attribute it is called by
+    assert hashing["retrieval.tokens_hashed"] == len({"a", "b", "c", "d"})
+    # the save counts its argument's entries and the load its result's
+    assert io["linalg.matrix_market.entries"] == 2 * view.nnz

@@ -3,7 +3,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from mvcca.linalg import (MM_HEADER, RankDeficiencyError, SparseView,
+from mvcca.linalg import (RankDeficiencyError, SparseView,
                           load_dense_csv, load_matrix_market,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
                           save_matrix_market, spectral_norm_sq, spmm_left_t,
@@ -225,6 +225,7 @@ class TestSpectralNorm:
         assert spectral_norm_sq(view, seed=9) == spectral_norm_sq(view, seed=9)
 
 
+MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _MM_BANNER = MM_HEADER + "\n"
 
 # malformed or unsupported Matrix Market files; each must raise ValueError
@@ -266,8 +267,29 @@ class TestMatrixMarketIO:
         save_matrix_market(path, view)
         lines = path.read_text().splitlines()
         assert lines[0] == MM_HEADER
-        assert lines[1] == "2 3 1"
-        assert lines[2].split()[:2] == ["1", "3"]
+        body = [ln for ln in lines[1:] if not ln.startswith("%")]
+        assert body[0] == "2 3 1"
+        assert body[1].split()[:2] == ["1", "3"]
+
+    @pytest.mark.parametrize("mat", [
+        SparseView(np.array([[1.0, 2.0], [2.0, 0.0]])),
+        SparseView(sp.csr_matrix((np.array([1.0, 0.0, 0.0, 3.0]),
+                                  np.array([0, 1, 0, 1]),
+                                  np.array([0, 2, 4])), shape=(2, 2))),
+        sp.csr_matrix(np.array([[1, 0], [2, 5]])),
+    ], ids=["symmetric", "symmetric_explicit_zeros", "integer"])
+    def test_written_kind_is_real_general(self, tmp_path, mat):
+        # scipy's writer would call these "symmetric" or "integer", kinds
+        # the loader rejects
+        path = tmp_path / "v.mtx"
+        save_matrix_market(path, mat)
+        assert path.read_text().splitlines()[0] == MM_HEADER
+        back = load_matrix_market(path).raw
+        ref = (mat if isinstance(mat, SparseView) else SparseView(mat)).raw
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(back, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_scipy_reads_our_files(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -8,7 +8,7 @@ from mvcca.retrieval import (HashSpec, aroc, cross_distances, evaluate_pairs,
                              hash_corpus, hash_featurize, nn_freq, project,
                              split_rows)
 
-from oracles import materialize
+from oracles import hashed_rows, materialize
 
 
 def bow_vector(doc, vocab):
@@ -104,6 +104,27 @@ class TestHashCorpus:
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+    def test_matches_hand_hashed_rows(self):
+        # 8 slots for 12 tokens: slots collide, signs cancel to explicit
+        # zeros, and some documents are empty
+        rng = np.random.default_rng(4)
+        vocab = [f"tok{i}" for i in range(12)]
+        docs = [list(rng.choice(vocab, size=rng.integers(0, 9)))
+                for _ in range(40)] + [[]]
+        ref = hashed_rows(docs, bits=3, seed=5)
+        want = {
+            "data": np.array([row[s] for row in ref for s in sorted(row)]),
+            "indices": np.array([s for row in ref for s in sorted(row)],
+                                dtype=np.int32),
+            "indptr": np.cumsum([0] + [len(row) for row in ref],
+                                dtype=np.int32),
+        }
+        assert 0.0 in want["data"] and {} in ref
+        got = hash_corpus(docs, HashSpec(bits=3, seed=5)).raw
+        for name, arr in want.items():
+            assert getattr(got, name).dtype == arr.dtype, name
+            assert getattr(got, name).tobytes() == arr.tobytes(), name
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
         calls = []
