@@ -24,8 +24,7 @@ from . import retrieval, synth
 from .linalg import (load_dense_csv, load_matrix_market, save_dense_csv,
                      save_matrix_market)
 from .regularizers import Regularizer
-from .solver import (SolverConfig, StepSizeError, Trace, run_pdd,
-                     validate_dimensions)
+from .solver import SolverConfig, StepSizeError, Trace, run_pdd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,7 +263,6 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     views = _load_views(cfg)
     config = _from_keys(SolverConfig, "solver", cfg)
     regs = _regularizers(cfg, len(views))
-    validate_dimensions(views, config.k)
     state, trace = run_pdd(views, config, regs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(len(views)):
@@ -336,11 +334,13 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.text"):
         raise ConfigError("hash needs io.text")
-    text = _read_input(Path(str(cfg.get("io.text"))), "text file",
-                       Path.read_text, "utf-8")
+    path = Path(str(cfg.get("io.text")))
+    text = _read_input(path, "text file", Path.read_text, "utf-8")
     spec = retrieval.HashSpec(bits=cfg.get("retrieval.bits"),
                               seed=cfg.get("retrieval.hash_seed"))
     docs = [line.split() for line in text.splitlines()]
+    if not docs:
+        raise InputError(f"empty corpus: {path}")
     view = retrieval.hash_corpus(docs, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(out_dir / f"{cfg.get('io.name')}.mtx", view)

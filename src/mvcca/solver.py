@@ -291,8 +291,6 @@ def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
     """
     alpha = step_size(i, state, rho, safety)
     grad = grad_q(i, state, rho, sum_g)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite gradient in Q update")
     state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
     state.p[i] = spmm_right(state.views[i], state.q[i])
     return state.q[i]
@@ -312,7 +310,7 @@ def update_g(i: int, state: SolverState, rho: float,
     agg = (rho - 1.0) * state.p[i]
     agg += sum_p
     agg += state.y[i]
-    state.g[i] = polar_factor(agg, gram_jitter=1e-12)
+    state.g[i] = polar_factor(agg)
     return state.g[i]
 
 
@@ -467,6 +465,9 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
         views, config.k, config.seed)
     if state.k != config.k:
         raise ValueError("initial state disagrees with config.k")
+    if len(state.views) != n or any(
+            a is not b for a, b in zip(state.views, views)):
+        raise ValueError("initial state was built on other views")
     state.rho = config.rho0
     state.ensure_sigma(config.seed)
 

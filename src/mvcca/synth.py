@@ -29,6 +29,8 @@ class SynthSpec:
 
     ``density`` is the target fill of each view; realized fill is kept
     within 20% of it.  ``outliers`` = 0 selects the clean regime.
+    ``components`` is validated and echoed, but neither generator reads
+    it: the shared factor has ``features`` columns.
     """
 
     rows: int

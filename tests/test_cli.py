@@ -389,6 +389,15 @@ class TestHashAndRetrievalCommands:
                      "--out", str(tmp_path / "hashed")]) == 4
         assert str(text) in capsys.readouterr().err
 
+    def test_empty_text_exit_code(self, tmp_path, capsys):
+        text = tmp_path / "docs.txt"
+        text.write_bytes(b"")
+        cfg = write_cfg(tmp_path / "hash.cfg", f"io.text = {text}\n")
+        assert main(["hash", "--config", cfg,
+                     "--out", str(tmp_path / "hashed")]) == 4
+        err = capsys.readouterr().err
+        assert "empty corpus" in err and str(text) in err
+
     def test_eval_retrieval(self, tmp_path, synth_dir):
         solve_cfg = write_cfg(tmp_path / "solve.cfg",
                               SOLVE_CFG.format(data_dir=synth_dir))

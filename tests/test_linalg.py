@@ -135,13 +135,31 @@ class TestPolarFactor:
             np.testing.assert_allclose(np.linalg.norm(g, axis=0), 1.0,
                                        atol=1e-10)
 
-    def test_rank_deficient_errors(self):
-        m = np.zeros((5, 2))
-        m[:, 0] = 1.0
+    @pytest.mark.parametrize("s", [1e-7, 1e-9])
+    def test_ill_conditioned_diagonal(self, s):
+        # Gram condition number 1e18 or 1e22, yet eigh folds an exactly
+        # diagonal Gram without error, so the polar factor is accurate
+        m = np.eye(200, 4) * [1e2, 1.0, 1.0, s]
+        u, _, vt = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_allclose(polar_factor(m), u @ vt, rtol=0,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["one_column_zero", "rotated_1e-7",
+                                      "duplicate_column"])
+    def test_rank_deficient_errors(self, case):
+        rng = np.random.default_rng(11)
+        if case == "one_column_zero":
+            m = np.zeros((5, 2))
+            m[:, 0] = 1.0
+        elif case == "rotated_1e-7":
+            q = np.linalg.qr(rng.standard_normal((200, 4)))[0]
+            v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            m = q @ np.diag([1e2, 1.0, 1.0, 1e-7]) @ v.T
+        else:
+            m = rng.standard_normal((30, 3))
+            m = np.column_stack([m, m[:, 1]])
         with pytest.raises(RankDeficiencyError, match="rank-deficient"):
             polar_factor(m)
-        with pytest.raises(RankDeficiencyError):
-            polar_factor(m, gram_jitter=1e-12)
 
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError, match="tall"):
@@ -205,6 +223,15 @@ class TestSpectralNorm:
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
             step_size(0, state, 1.0)
+
+    def test_explicit_zeros_skip_lanczos(self, monkeypatch):
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("eigsh called on a zero view")
+
+        monkeypatch.setattr("mvcca.linalg.eigsh", no_lanczos)
+        zeros = coo_view([0, 1, 3], [0, 2, 1], [0.0, 0.0, 0.0], (4, 3))
+        assert zeros.nnz == 3
+        assert spectral_norm_sq(zeros) == 0.0
 
     def test_centered_constant_columns(self):
         # views are used as given, so the caller centers: constant columns

@@ -160,6 +160,13 @@ class TestUpdateQ:
         update_q(0, state, rho, rg.NONE)
         np.testing.assert_array_equal(state.q[0], expected)
 
+    def test_nonfinite_dual_rejected(self):
+        rng = np.random.default_rng(4)
+        state = random_state(rng)
+        state.y[0][1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            update_q(0, state, 2.0, rg.NONE)
+
     def test_refreshes_product_cache(self):
         rng = np.random.default_rng(3)
         state = random_state(rng)
@@ -368,6 +375,16 @@ class TestRunPdd:
         for old, new in zip(snapshot, init.q + init.g):
             np.testing.assert_array_equal(old, new)
         assert state is not init
+
+    @pytest.mark.parametrize("n_other", [3, 2])
+    def test_init_on_other_views_rejected(self, n_other):
+        rng = np.random.default_rng(13)
+        views = [SparseView(rng.standard_normal((30, 8))) for _ in range(3)]
+        other = [SparseView(rng.standard_normal((30, 8)))
+                 for _ in range(n_other)]
+        init = init_random(other, 2, seed=0)
+        with pytest.raises(ValueError, match="other views"):
+            run_pdd(views, SolverConfig(k=2, outer_max=2), init=init)
 
     def test_long_solve_outlives_eps_underflow(self):
         # tol_change = 0 keeps the solve going past r = 108, where
