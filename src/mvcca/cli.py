@@ -224,12 +224,25 @@ def _write_index_sets(path: Path, signal, outlier) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_index_sets(path: Path):
+def _read_index_sets(path: Path, n_cols: int):
+    """Signal and outlier column indices, each a column of every view
+    (0 to n_cols - 1) and listed once across the two lines; the signal
+    line is not empty."""
     lines = path.read_text(encoding="ascii").splitlines()
     while len(lines) < 2:
         lines.append("")
     signal = np.array([int(t) for t in lines[0].split()], dtype=np.int64)
     outlier = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
+    if signal.size == 0:
+        raise ValueError("no signal column index")
+    listed = np.concatenate([signal, outlier])
+    outside = listed[(listed < 0) | (listed >= n_cols)]
+    if outside.size:
+        raise ValueError(f"column index {outside[0]} outside 0..{n_cols - 1}")
+    values, counts = np.unique(listed, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"column index {values[counts > 1][0]} listed "
+                         "more than once")
     return signal, outlier
 
 
@@ -281,7 +294,8 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     factors = _load_factors(
         [run_dir / f"Q_{i}.csv" for i in range(len(views))], views)
     signal, outlier = _read_input(_index_sets_path(cfg), "index set file",
-                                  _read_index_sets)
+                                  _read_index_sets,
+                                  min(v.shape[1] for v in views))
     k = factors[0].shape[1]
     ideal = k * len(views) * (len(views) - 1)
     trace = _read_input(run_dir / "trace.csv", "trace file", Trace.from_csv,

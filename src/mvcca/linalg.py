@@ -54,14 +54,6 @@ class SparseView:
     def nnz(self) -> int:
         return self.raw.nnz
 
-    def select_columns(self, idx) -> "SparseView":
-        """Sub-view on a column subset, without re-validation."""
-        idx = np.asarray(idx, dtype=np.int64)
-        sub = SparseView.__new__(SparseView)
-        sub.raw = self.raw[:, idx].tocsr()
-        sub.raw.sort_indices()
-        return sub
-
     def __repr__(self) -> str:
         l_rows, m_cols = self.shape
         return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}>"
@@ -195,12 +187,26 @@ def load_matrix_market(path) -> SparseView:
     return SparseView(scipy.io.mmread(path))
 
 
+# rows formatted per write: the whole matrix in one call would hold every
+# entry as a Python float and its text at once
+_CSV_BLOCK_ROWS = 4096
+
+
 def save_dense_csv(path, arr) -> None:
-    """Write a dense matrix as headerless CSV at full double precision."""
+    """Write a dense matrix as headerless CSV at full double precision.
+
+    The bytes are those of ``np.savetxt(path, arr, fmt="%.17g",
+    delimiter=",")``, formatted one block of rows per call instead of
+    one row per call.
+    """
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a matrix")
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
+            block = arr[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_dense_csv(path) -> np.ndarray:

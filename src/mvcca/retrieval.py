@@ -9,6 +9,9 @@ candidates by Euclidean distance.
 
 from __future__ import annotations
 
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -113,24 +116,67 @@ def cross_distances(proj_a, proj_b) -> np.ndarray:
     return cdist(proj_a, proj_b)
 
 
-# query rows are ranked this many at a time, so evaluating a view pair
-# holds a block x n slice of distances instead of the n x n matrix
-_RANK_BLOCK = 256
+# each task ranks one slab of query rows against a whole gallery; a slab
+# holds about this many distances, so a worker's scratch stays near 1 MB
+_SLAB_ENTRIES = 1 << 17
 
 
-def _match_ranks(distances: np.ndarray, first: int = 0) -> np.ndarray:
-    # 1-based rank of each row's true match, the candidate in column
-    # first + row; it is placed before equal-distance competitors
-    rows = np.arange(distances.shape[0])
-    true = distances[rows, first + rows]
+def _worker_count() -> int:
+    """Threads that rank distance slabs: one per core this process may
+    run on (cdist and the comparisons release the interpreter lock)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _match_ranks(distances: np.ndarray) -> np.ndarray:
+    # 1-based rank of each row's true match, the candidate in the same
+    # column as the row; it is placed before equal-distance competitors
+    true = np.diagonal(distances)
     return 1 + (distances < true[:, None]).sum(axis=1)
 
 
-def _pair_ranks(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Match ranks of row-aligned query and gallery sets, blockwise."""
-    return np.concatenate([
-        _match_ranks(cross_distances(queries[s:s + _RANK_BLOCK], gallery), s)
-        for s in range(0, queries.shape[0], _RANK_BLOCK)])
+def _ordered_ranks(projections) -> dict[tuple[int, int], np.ndarray]:
+    """Match ranks for every ordered pair of row-aligned projections.
+
+    Each unordered pair (i, j) is ranked in one pass over row slabs of
+    its distances d(P_i[r], P_j[c]): a slab's row counts rank the queries
+    of view i against gallery j, and its column counts, summed over the
+    slabs, rank the queries of view j against gallery i.  The true-match
+    distances come from the same kernel on the diagonal blocks, so equal
+    distances compare exactly as in the full matrix.
+    """
+    n_rows = projections[0].shape[0]
+    step = max(1, _SLAB_ENTRIES // n_rows)
+    slabs = [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+    pairs = list(itertools.combinations(range(len(projections)), 2))
+
+    def true_distances(pair) -> np.ndarray:
+        a, b = (projections[v] for v in pair)
+        return np.concatenate([np.diagonal(cross_distances(a[s:e], b[s:e]))
+                               for s, e in slabs])
+
+    ranks = {pair: np.ones(n_rows, dtype=np.int64) for pair in
+             itertools.permutations(range(len(projections)), 2)}
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        true = list(pool.map(true_distances, pairs))
+
+        def closer_counts(task):
+            p, (s, e) = task
+            i, j = pairs[p]
+            d = cross_distances(projections[i][s:e], projections[j])
+            return (p, s, e, (d < true[p][s:e, None]).sum(axis=1),
+                    (d < true[p]).sum(axis=0))
+
+        # fold each slab's counts as it arrives, so no slab's column
+        # counts outlive it
+        for p, s, e, row_counts, col_counts in pool.map(
+                closer_counts, itertools.product(range(len(pairs)), slabs)):
+            i, j = pairs[p]
+            ranks[i, j][s:e] += row_counts
+            ranks[j, i] += col_counts
+    return ranks
 
 
 def _square(distances) -> np.ndarray:
@@ -187,7 +233,10 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
 
     All test views must list the same entities in the same row order.
     For each pair (i, j) the rows of view i query the gallery of view j;
-    the pair's AROC is the mean over queries.
+    the pair's AROC is the mean over queries.  Each unordered pair is
+    scored in one pass over row slabs of about 2**17 distances, run on a
+    thread pool with one worker per usable core, so memory is
+    O(workers * slab), not n x n.
     """
     views = list(test_views)
     if len(views) < 2:
@@ -199,17 +248,12 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
         raise ValueError("need at least two aligned rows")
     if len(factors) != len(views):
         raise ValueError(f"got {len(factors)} factors for {len(views)} views")
-    projections = [project(v, q) for v, q in zip(views, factors)]
+    ranks = _ordered_ranks([project(v, q) for v, q in zip(views, factors)])
 
-    pairs = []
-    for i in range(len(views)):
-        for j in range(len(views)):
-            if i == j:
-                continue
-            ranks = _pair_ranks(projections[i], projections[j])
-            pairs.append(PairScore(
-                i, j, float(np.mean(_aroc_percent(ranks, n_rows))),
-                _nn_percent(ranks)))
+    pairs = [PairScore(i, j,
+                       float(np.mean(_aroc_percent(ranks[i, j], n_rows))),
+                       _nn_percent(ranks[i, j]))
+             for i, j in itertools.permutations(range(len(views)), 2)]
     return RetrievalResult(
         pairs=pairs,
         mean_aroc=float(np.mean([p.aroc for p in pairs])),

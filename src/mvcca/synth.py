@@ -209,14 +209,20 @@ def metric1(views, factors, signal_idx) -> float:
     """Percent of signal-block correlation captured (ideal 100).
 
     The total correlation percent of the views and factors restricted
-    to the signal columns.
+    to the signal columns.  Zeroing the factors' other rows restricts
+    X_i Q_i to X_i[:, S] Q_i[S] without copying any view: each zero row
+    adds only zero terms to the products.
     """
     signal_idx = np.asarray(signal_idx, dtype=np.int64)
     if signal_idx.size == 0:
         raise ValueError("empty signal index set")
-    return total_correlation(
-        [v.select_columns(signal_idx) for v in views],
-        [np.asarray(q, dtype=np.float64)[signal_idx, :] for q in factors])[1]
+    masked = []
+    for q in factors:
+        q = np.asarray(q, dtype=np.float64)
+        signal_rows = np.zeros_like(q)
+        signal_rows[signal_idx] = q[signal_idx]
+        masked.append(signal_rows)
+    return total_correlation(views, masked)[1]
 
 
 def metric2(factors, outlier_idx) -> float:

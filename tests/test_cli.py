@@ -312,6 +312,16 @@ BAD_INPUTS = {
     "trace_short_row": ("run/trace.csv", lambda ls: ls[:1] + ["0,0"]),
     "index_sets_token": ("data/index_sets.txt", lambda ls: ["0 1 x"]
                          + ls[1:]),
+    # the views have 40 columns, all of them signal
+    "index_sets_past_last": ("data/index_sets.txt", lambda ls: [ls[0] + " 40"]
+                             + ls[1:]),
+    "index_sets_negative": ("data/index_sets.txt", lambda ls: ["-1"]
+                            + ls[1:]),
+    "index_sets_duplicate": ("data/index_sets.txt", lambda ls: [ls[0] + " 0"]
+                             + ls[1:]),
+    "index_sets_overlap": ("data/index_sets.txt", lambda ls: [ls[0], "0"]),
+    "index_sets_no_signal": ("data/index_sets.txt", lambda ls: [""]
+                             + ls[1:]),
 }
 FACTOR_CASES = [c for c in BAD_INPUTS if c.startswith("factor_")]
 

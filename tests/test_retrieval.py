@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -326,18 +328,52 @@ class TestBlockedRanks:
         a = rng.integers(0, 3, (11, 2)).astype(float)
         b = rng.integers(0, 3, (11, 2)).astype(float)
         full = cross_distances(a, b)
-        true = np.diag(full)[:, None]
-        assert np.any((full == true).sum(axis=1) > 1)
-        monkeypatch.setattr(retrieval, "_RANK_BLOCK", 4)
-        np.testing.assert_array_equal(retrieval._pair_ranks(a, b),
-                                      1 + (full < true).sum(axis=1))
+        true = np.diag(full)
+        assert np.any((full == true[:, None]).sum(axis=1) > 1)
+        assert np.any((full == true[None, :]).sum(axis=0) > 1)
+        # slabs of 4, 4 and 3 rows
+        monkeypatch.setattr(retrieval, "_SLAB_ENTRIES", 4 * 11)
+        ranks = retrieval._ordered_ranks([a, b])
+        np.testing.assert_array_equal(ranks[0, 1],
+                                      1 + (full < true[:, None]).sum(axis=1))
+        np.testing.assert_array_equal(ranks[1, 0],
+                                      1 + (full < true[None, :]).sum(axis=0))
 
-    def test_scores_independent_of_block_size(self, monkeypatch):
+    @staticmethod
+    def tie_heavy_problem():
         rng = np.random.default_rng(22)
         views = [SparseView(rng.integers(0, 2, (11, 4)).astype(float))
                  for _ in range(3)]
         factors = [rng.integers(-1, 2, (4, 2)).astype(float)
                    for _ in range(3)]
+        return views, factors
+
+    def test_scores_independent_of_block_size(self, monkeypatch):
+        views, factors = self.tie_heavy_problem()
         whole = evaluate_pairs(views, factors)
-        monkeypatch.setattr(retrieval, "_RANK_BLOCK", 4)
+        monkeypatch.setattr(retrieval, "_SLAB_ENTRIES", 4 * 11)
         assert evaluate_pairs(views, factors) == whole
+
+    def test_scores_independent_of_worker_count(self, monkeypatch):
+        views, factors = self.tie_heavy_problem()
+        # one-row slabs give every worker many tasks
+        monkeypatch.setattr(retrieval, "_SLAB_ENTRIES", 1)
+        default = evaluate_pairs(views, factors)
+        interval = sys.getswitchinterval()
+        # frequent thread switches, and more workers than cores, would
+        # expose a count folded twice or lost
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                monkeypatch.setattr(retrieval, "_worker_count",
+                                    lambda: workers)
+                assert evaluate_pairs(views, factors) == default
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_caller(self):
+        rng = np.random.default_rng(23)
+        views = [SparseView(rng.standard_normal((6, 4))) for _ in range(2)]
+        factors = [rng.standard_normal((4, 2)), rng.standard_normal((4, 3))]
+        with pytest.raises(ValueError, match="different widths"):
+            evaluate_pairs(views, factors)
