@@ -231,6 +231,11 @@ def _read_index_sets(path: Path, n_cols: int):
     lines = path.read_text(encoding="ascii").splitlines()
     while len(lines) < 2:
         lines.append("")
+    # int() alone would also take digit-group underscores such as "1_0"
+    bad = [t for t in " ".join(lines[:2]).split()
+           if not re.fullmatch(r"[+-]?[0-9]+", t)]
+    if bad:
+        raise ValueError(f"column index {bad[0]!r} is not an integer")
     signal = np.array([int(t) for t in lines[0].split()], dtype=np.int64)
     outlier = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
     if signal.size == 0:

@@ -34,17 +34,18 @@ class SparseView:
     __slots__ = ("raw",)
 
     def __init__(self, matrix):
-        coo = sp.coo_matrix(matrix)
-        if coo.shape[0] < 1 or coo.shape[1] < 1:
+        # a copy, so the view never shares or sorts the caller's arrays
+        raw = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        if raw.shape[0] < 1 or raw.shape[1] < 1:
             raise ValueError("view dimensions must be positive")
-        if not np.all(np.isfinite(coo.data)):
+        if not np.all(np.isfinite(raw.data)):
             raise ValueError("view contains non-finite values")
-        # tocsr sums duplicates but keeps explicit zeros
-        self.raw = coo.tocsr()
-        if self.raw.nnz != coo.nnz:
+        # sums duplicates (COO input already lost them in the conversion)
+        # and sorts the indices, but keeps explicit zeros
+        raw.sum_duplicates()
+        if sp.issparse(matrix) and raw.nnz < matrix.nnz:
             raise ValueError("duplicate (row, col) entries in view")
-        self.raw.sort_indices()
-        self.raw.data = self.raw.data.astype(np.float64, copy=False)
+        self.raw = raw
 
     @property
     def shape(self) -> tuple[int, int]:

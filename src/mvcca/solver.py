@@ -49,9 +49,11 @@ class SolverConfig:
 
     ``eta0`` sets the feasibility schedule eta(r) = eta0 / r that gates
     dual updates; ``eps0``/``eps_decay`` set the sub-solver accuracy
-    schedule eps(r) = eps0 * eps_decay**r.  ``tol_feas`` = None means
-    1e-6 * L * K at run time.  ``sub_max_sweeps = 1`` with
-    ``eta0 = inf`` gives the fixed-penalty ADMM baseline.
+    schedule eps(r) = eps0 * eps_decay**r.  The solve stops when the
+    slack residual is at most ``tol_feas`` (None: 1e-6 * L * K) and a
+    one-sweep sub-solve moved no Q_i or G_i entry by more than
+    ``tol_change``.  ``sub_max_sweeps = 1`` with ``eta0 = inf`` gives
+    the fixed-penalty ADMM baseline.
     """
 
     k: int
@@ -173,6 +175,7 @@ class SolverState:
         self.p = [spmm_right(v, qi) for v, qi in zip(self.views, self.q)]
         self.rho = float(rho)
         self.sigma_sq: list[float] | None = None
+        self.moved = np.inf  # largest move of any Q_i or G_i in a sweep
 
     @property
     def num_views(self) -> int:
@@ -191,6 +194,7 @@ class SolverState:
         dup.p = [a.copy() for a in self.p]
         dup.rho = self.rho
         dup.sigma_sq = None if self.sigma_sq is None else list(self.sigma_sq)
+        dup.moved = self.moved
         return dup
 
     def ensure_sigma(self, seed: int) -> None:
@@ -387,16 +391,6 @@ def _as_reg_list(regs, n: int) -> list[rg.Regularizer]:
     return regs
 
 
-def _max_change(state: SolverState, q_prev, g_prev) -> float:
-    """Largest entrywise change of any Q_i or G_i since the snapshots."""
-    delta = 0.0
-    for i in range(state.num_views):
-        delta = max(delta,
-                    float(np.max(np.abs(state.q[i] - q_prev[i]))),
-                    float(np.max(np.abs(state.g[i] - g_prev[i]))))
-    return delta
-
-
 def run_subsolver(state: SolverState, rho: float, eps_r: float,
                   max_sweeps: int, regs=None,
                   safety: float = SolverConfig.safety,
@@ -404,9 +398,9 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     """Inexact alternating sweeps at fixed duals and penalty.
 
     Each sweep updates every Q_i (all G frozen), then every G_i from the
-    fresh caches.  Sweeping stops when the largest entrywise change of any
-    iterate drops to ``eps_r`` or after ``max_sweeps``.  Returns the
-    number of sweeps taken.
+    fresh caches.  Sweeping stops when the largest entrywise move of any
+    block against the one it replaced, kept in ``state.moved``, drops to
+    ``eps_r`` or after ``max_sweeps``.  Returns the number of sweeps.
 
     :func:`lagrangian_value` is verified to be non-increasing across
     sweeps; an increase beyond slack means the step size rule was
@@ -423,14 +417,17 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     prev = start if start is not None else lagrangian_value(
         state, rho, regs, sum_g=sum_g)
     for sweep in range(1, max_sweeps + 1):
-        # the updates rebind Q_i and G_i and never write them in place,
-        # so lists of the current blocks are snapshots
-        q_prev, g_prev = list(state.q), list(state.g)
+        # the updates rebind Q_i and G_i, so the old block is still at hand
+        moved = 0.0
         for i in range(n):
-            update_q(i, state, rho, regs[i], safety, sum_g)
+            old = state.q[i]
+            new = update_q(i, state, rho, regs[i], safety, sum_g)
+            moved = max(moved, float(np.max(np.abs(new - old))))
         sum_p = _total(state.p)
         for i in range(n):
-            update_g(i, state, rho, sum_p)
+            old = state.g[i]
+            new = update_g(i, state, rho, sum_p)
+            moved = max(moved, float(np.max(np.abs(new - old))))
         sum_g = _total(state.g)
         cur = lagrangian_value(state, rho, regs, sum_p, sum_g)
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
@@ -438,7 +435,8 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
                 f"step size violation: sub-solver objective rose "
                 f"{prev:.12g} -> {cur:.12g}")
         prev = cur
-        if _max_change(state, q_prev, g_prev) <= eps_r:
+        state.moved = moved
+        if moved <= eps_r:
             return sweep
     return max_sweeps
 
@@ -449,7 +447,9 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     Outer iteration r runs the sub-solver for at most
     ``config.sub_max_sweeps`` sweeps to accuracy ``config.eps(r)``, then
     takes a dual step when the slack residual is within
-    ``config.eta(r)`` and grows the penalty otherwise.
+    ``config.eta(r)`` and grows the penalty otherwise.  It stops early
+    once the residual meets ``tol_feas`` and a one-sweep sub-solve moved
+    no entry by more than ``tol_change``.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The
@@ -487,16 +487,16 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
 
     value = record(0, primal_residual(state))
     for r in range(1, config.outer_max + 1):
-        q_prev, g_prev = list(state.q), list(state.g)
-        run_subsolver(state, state.rho, config.eps(r), config.sub_max_sweeps,
-                      regs, config.safety, value)
-        # neither step below moves P or G, so the residual stays current
+        sweeps = run_subsolver(state, state.rho, config.eps(r),
+                               config.sub_max_sweeps, regs, config.safety,
+                               value)
+        # the steps below move no Q, P or G: residual and move stay current
         res = primal_residual(state)
         dual_or_penalty_step(state, res, config.eta(r), config.c)
         value = record(r, res)
-        change = _max_change(state, q_prev, g_prev)
-        if res <= tol_feas and change <= config.tol_change:
+        if res <= tol_feas and sweeps == 1 \
+                and state.moved <= config.tol_change:
             logger.info("converged at outer iteration %d "
-                        "(residual %.3g, change %.3g)", r, res, change)
+                        "(residual %.3g, move %.3g)", r, res, state.moved)
             break
     return state, trace

@@ -312,6 +312,9 @@ BAD_INPUTS = {
     "trace_short_row": ("run/trace.csv", lambda ls: ls[:1] + ["0,0"]),
     "index_sets_token": ("data/index_sets.txt", lambda ls: ["0 1 x"]
                          + ls[1:]),
+    # int() reads "1_0" as 10
+    "index_sets_underscore": ("data/index_sets.txt", lambda ls: ["1_0 2"]
+                              + ls[1:]),
     # the views have 40 columns, all of them signal
     "index_sets_past_last": ("data/index_sets.txt", lambda ls: [ls[0] + " 40"]
                              + ls[1:]),

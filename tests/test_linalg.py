@@ -38,6 +38,19 @@ class TestSparseView:
         with pytest.raises(ValueError, match="non-finite"):
             SparseView(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_view_owns_its_arrays(self):
+        # one row with unsorted column indices
+        given = sp.csr_matrix((np.array([5.0, 2.0, 7.0]), np.array([2, 0, 1]),
+                               np.array([0, 2, 3])), shape=(2, 3))
+        view = SparseView(given)
+        expected = view.raw.toarray()
+        np.testing.assert_array_equal(given.indices, [2, 0, 1])
+        given.data[:] = 0.0
+        given.indices[:] = 0
+        np.testing.assert_array_equal(view.raw.toarray(), expected)
+        np.testing.assert_array_equal(expected, [[2.0, 0.0, 5.0],
+                                                 [0.0, 7.0, 0.0]])
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="exceeds matrix dimension"):
             coo_view([0], [5], [1.0], (2, 2))

@@ -315,6 +315,21 @@ class TestRunSubsolver:
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
             prev = cur
 
+    @pytest.mark.parametrize("fresh", [False, True], ids=["random", "start"])
+    def test_move_is_largest_block_change(self, fresh):
+        # from a random state some Q_i moves most; from the seeded start,
+        # where every Q_i is zero, some G_i does
+        state = random_state(np.random.default_rng(16))
+        if fresh:
+            state = init_random(state.views, state.k, seed=1)
+            state.ensure_sigma(0)
+        before = state.copy()
+        run_subsolver(state, rho=2.0, eps_r=1e-300, max_sweeps=1)
+        blocks = zip(state.q + state.g, before.q + before.g)
+        assert state.moved == max(float(np.max(np.abs(new - old)))
+                                  for new, old in blocks)
+        assert state.copy().moved == state.moved
+
     def test_oversized_step_raises(self):
         rng = np.random.default_rng(11)
         state = random_state(rng)
@@ -415,6 +430,42 @@ class TestRunPdd:
                            regs=rg.Regularizer("l1", lam=0.1))
         assert calls["sweeps"] > len(trace) - 1
         assert calls["objective"] == len(trace) + calls["sweeps"]
+
+    @staticmethod
+    def _record_subsolves(monkeypatch):
+        """Log (sweeps, move) of every sub-solve run_pdd makes."""
+        calls = []
+
+        def recorded(state, *args, **kwargs):
+            sweeps = run_subsolver(state, *args, **kwargs)
+            calls.append((sweeps, state.moved))
+            return sweeps
+
+        monkeypatch.setattr("mvcca.solver.run_subsolver", recorded)
+        return calls
+
+    def test_stops_after_one_sweep_move(self, monkeypatch):
+        calls = self._record_subsolves(monkeypatch)
+        views = self._aligned_views()
+        cfg = SolverConfig(k=3, outer_max=50, seed=1)
+        _, trace = run_pdd(views, cfg)
+        assert len(trace) - 1 == len(calls) < cfg.outer_max
+        sweeps, moved = calls[-1]
+        assert sweeps == 1 and moved <= cfg.tol_change
+        assert trace.rows[-1].primal_residual <= 1e-6 * 12 * 3
+
+    def test_multi_sweep_subsolves_never_stop(self, monkeypatch):
+        # eps0 = 1e-300 holds every sub-solve to its cap, so the stop
+        # test, which needs a one-sweep sub-solve, fails even with both
+        # tolerances infinite
+        calls = self._record_subsolves(monkeypatch)
+        rng = np.random.default_rng(17)
+        views = random_views(rng, 3, 12, 2)
+        cfg = SolverConfig(k=2, eps0=1e-300, sub_max_sweeps=2, outer_max=6,
+                           tol_feas=np.inf, tol_change=np.inf, seed=1)
+        _, trace = run_pdd(views, cfg)
+        assert [sweeps for sweeps, _ in calls] == [2] * 6
+        assert len(trace) == 7
 
     def test_orthonormal_latents_throughout(self):
         views = self._aligned_views(seed=10)
