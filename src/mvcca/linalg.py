@@ -28,10 +28,11 @@ class SparseView:
     ``matrix`` is any scipy sparse matrix or dense array, one row per
     entity.  Duplicate (row, col) entries and non-finite values are
     rejected.  The view is used as given: callers who want centered or
-    scaled data transform it before building the view.
+    scaled data transform it before building the view.  ``raw_t`` is
+    ``raw.T``, built once: a CSC view of the same arrays.
     """
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "raw_t")
 
     def __init__(self, matrix):
         # a copy, so the view never shares or sorts the caller's arrays
@@ -46,6 +47,7 @@ class SparseView:
         if sp.issparse(matrix) and raw.nnz < matrix.nnz:
             raise ValueError("duplicate (row, col) entries in view")
         self.raw = raw
+        self.raw_t = raw.T
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,6 +60,34 @@ class SparseView:
     def __repr__(self) -> str:
         l_rows, m_cols = self.shape
         return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}>"
+
+
+def narrow_columns(view: SparseView, cols) -> SparseView:
+    """The view restricted to the sorted column indices ``cols``.
+
+    ``cols`` must hold every column that stores an entry, so no entry is
+    dropped: the narrowed view shares ``data`` and ``indptr`` with
+    ``view`` and copies only the renumbered column indices.  Products
+    with it sum the same terms in the same order as products with
+    ``view`` on the matching rows, so they are bitwise equal.
+    """
+    raw = view.raw
+    cols = np.asarray(cols)
+    if cols.ndim != 1 or np.any(np.diff(cols) <= 0) \
+            or (cols.size and cols[0] < 0):
+        raise ValueError("columns must be strictly increasing from 0")
+    renumber = np.full(raw.shape[1], -1, dtype=raw.indices.dtype)
+    renumber[cols] = np.arange(cols.size)
+    indices = renumber[raw.indices]
+    if np.any(indices < 0):
+        raise ValueError("narrowing would drop stored entries")
+    narrowed = SparseView.__new__(SparseView)
+    # built without the constructor's copy and checks: the entries are
+    # the view's own, already validated
+    narrowed.raw = sp.csr_matrix((raw.data, indices, raw.indptr),
+                                 shape=(raw.shape[0], cols.size), copy=False)
+    narrowed.raw_t = narrowed.raw.T
+    return narrowed
 
 
 def _as_dense(d, rows_needed: int, what: str) -> np.ndarray:
@@ -81,7 +111,7 @@ def spmm_right(view: SparseView, dense) -> np.ndarray:
 
 def spmm_left_t(view: SparseView, dense) -> np.ndarray:
     """Compute ``X.T @ D`` for an L x K dense block: O(nnz * K)."""
-    return view.raw.T @ _as_dense(dense, view.shape[0], "left operand")
+    return view.raw_t @ _as_dense(dense, view.shape[0], "left operand")
 
 
 def polar_factor(m) -> np.ndarray:

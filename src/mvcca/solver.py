@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import regularizers as rg
-from .linalg import (SparseView, pairwise_inner_sum, polar_factor,
-                     spectral_norm_sq, spmm_left_t, spmm_right)
+from .linalg import (SparseView, narrow_columns, pairwise_inner_sum,
+                     polar_factor, spectral_norm_sq, spmm_left_t, spmm_right)
 
 logger = logging.getLogger(__name__)
 
@@ -441,6 +441,43 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     return max_sweeps
 
 
+def _narrow(state: SolverState) -> list[np.ndarray | None]:
+    """Narrow every view of ``state`` to the columns whose Q_i row can move.
+
+    A column of X_i that stores no entry gives a zero row in X_i^T(.),
+    so a zero row of Q_i there stays zero through the gradient step, and
+    every prox maps a zero row to zero: the row never moves and never
+    enters a product.  Columns that store an entry (explicit zeros
+    count) or start with a nonzero row are kept.  Returns the kept
+    column indices per view, None where every column is kept.
+    """
+    kept = []
+    for i, view in enumerate(state.views):
+        keep = np.zeros(view.shape[1], dtype=bool)
+        keep[view.raw.indices] = True
+        keep |= np.any(state.q[i] != 0.0, axis=1)
+        if keep.all():
+            kept.append(None)
+            continue
+        cols = np.flatnonzero(keep)
+        state.views[i] = narrow_columns(view, cols)
+        state.q[i] = state.q[i][cols]
+        kept.append(cols)
+    return kept
+
+
+def _widen(state: SolverState, views: list[SparseView],
+           kept: list[np.ndarray | None]) -> None:
+    """Undo :func:`_narrow`: zero rows back into every narrowed Q_i."""
+    for i, cols in enumerate(kept):
+        if cols is not None:
+            full = np.zeros((views[i].shape[1], state.k))
+            full[cols] = state.q[i]
+            state.q[i] = full
+    # the products P_i are bitwise those of the full views
+    state.views = list(views)
+
+
 def run_pdd(views, config: SolverConfig, regs=None, init=None):
     """Adaptive-penalty driver: sub-solver sweeps plus dual/penalty steps.
 
@@ -450,6 +487,12 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     ``config.eta(r)`` and grows the penalty otherwise.  It stops early
     once the residual meets ``tol_feas`` and a one-sweep sub-solve moved
     no entry by more than ``tol_change``.
+
+    The sweeps skip the columns of each view that store no entry, where
+    the start row of Q_i is zero: those rows stay exactly zero, so one
+    sweep costs O(nnz(X_i) K) sparse work plus O(I L K) and
+    O(M_data_i K) dense work, with M_data_i the columns of X_i that hold
+    data.  The spectral norms are those of the full views.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The
@@ -469,7 +512,10 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
             a is not b for a, b in zip(state.views, views)):
         raise ValueError("initial state was built on other views")
     state.rho = config.rho0
+    # on the full views: Lanczos on a narrowed view runs on a smaller (or
+    # the other) Gram and moves sigma^2, and so every iterate, by round-off
     state.ensure_sigma(config.seed)
+    kept = _narrow(state)
 
     l_rows = views[0].shape[0]
     tol_feas = (config.tol_feas if config.tol_feas is not None
@@ -499,4 +545,5 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
             logger.info("converged at outer iteration %d "
                         "(residual %.3g, move %.3g)", r, res, state.moved)
             break
+    _widen(state, views, kept)
     return state, trace

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from mvcca import linalg
 from mvcca.linalg import (RankDeficiencyError, SparseView,
-                          load_dense_csv, load_matrix_market,
+                          load_dense_csv, load_matrix_market, narrow_columns,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
                           save_matrix_market, spectral_norm_sq, spmm_left_t,
                           spmm_right)
@@ -56,6 +56,53 @@ class TestSparseView:
             coo_view([0], [5], [1.0], (2, 2))
         with pytest.raises(ValueError, match="negative"):
             coo_view([-1], [0], [1.0], (2, 2))
+
+
+def _shares_arrays(a, b):
+    return all(np.shares_memory(getattr(a, name), getattr(b, name))
+               for name in ("data", "indices", "indptr"))
+
+
+class TestNarrowColumns:
+    @staticmethod
+    def _gappy_view(rng):
+        # columns 1, 4 and 6 store nothing; column 3 only an explicit zero
+        x = rng.standard_normal((9, 7))
+        x[:, [1, 3, 4, 6]] = 0.0
+        rows, cols = np.nonzero(x)
+        rows, cols = np.append(rows, 5), np.append(cols, 3)
+        return coo_view(rows, cols, x[rows, cols], (9, 7))
+
+    def test_transpose_cached_without_copy(self):
+        view = SparseView(np.eye(3))
+        assert view.raw_t is view.raw_t
+        assert _shares_arrays(view.raw_t, view.raw)
+
+    def test_shares_entries_and_keeps_products(self):
+        rng = np.random.default_rng(30)
+        view = self._gappy_view(rng)
+        cols = np.array([0, 2, 3, 5])
+        narrow = narrow_columns(view, cols)
+        assert narrow.shape == (9, 4) and narrow.nnz == view.nnz
+        assert np.shares_memory(narrow.raw.data, view.raw.data)
+        assert np.shares_memory(narrow.raw.indptr, view.raw.indptr)
+        assert not np.shares_memory(narrow.raw.indices, view.raw.indices)
+        assert _shares_arrays(narrow.raw_t, narrow.raw)
+        right = rng.standard_normal((7, 3))
+        left = rng.standard_normal((9, 3))
+        # bitwise: the same terms summed in the same order
+        np.testing.assert_array_equal(spmm_right(narrow, right[cols]),
+                                      spmm_right(view, right))
+        np.testing.assert_array_equal(spmm_left_t(narrow, left),
+                                      spmm_left_t(view, left)[cols])
+
+    @pytest.mark.parametrize("cols", [[0, 2, 5], [0, 2, 3], [0, 3, 2, 5],
+                                      [0, 0, 2, 3, 5], [-1, 0, 2, 3, 5]])
+    def test_bad_columns_rejected(self, cols):
+        # [0, 2, 5] drops the explicit zero of column 3
+        view = self._gappy_view(np.random.default_rng(31))
+        with pytest.raises(ValueError):
+            narrow_columns(view, np.array(cols))
 
 
 class TestSpmm:

@@ -122,3 +122,19 @@ class TestProx:
         for _ in range(100):
             trial = out + 0.1 * rng.standard_normal(out.shape)
             assert base <= prox_objective(kind, trial, v, tau, lam, mu) + 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_independent_and_zero_fixed(self, kind):
+        # the solver skips a zero row of Q where the view stores nothing;
+        # that is sound only while the prox acts row by row and keeps a
+        # zero row at exactly +0.0
+        rng = np.random.default_rng(5)
+        reg = Regularizer(kind, lam=0.8, mu=0.3)
+        v = rng.standard_normal((6, 3))
+        v[[1, 4]] = 0.0
+        stacked = prox(reg, v, tau=0.9)
+        np.testing.assert_array_equal(
+            stacked, np.vstack([prox(reg, row[None, :], tau=0.9)
+                                for row in v]))
+        zero = prox(reg, np.zeros((1, 3)), tau=0.9)
+        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))

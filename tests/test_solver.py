@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mvcca.regularizers as rg
 from mvcca.linalg import SparseView, spectral_norm_sq, spmm_right
@@ -472,6 +473,132 @@ class TestRunPdd:
         state, _ = run_pdd(views, SolverConfig(k=3, outer_max=10, seed=11))
         for g in state.g:
             assert np.linalg.norm(g.T @ g - np.eye(3)) <= 1e-8
+
+
+def gappy_views(seed, n_views=3, l_rows=40, m_cols=25, n_empty=6):
+    """Sparse Gaussian views, each with a few columns that store nothing."""
+    rng = np.random.default_rng(seed)
+    views = []
+    for _ in range(n_views):
+        x = rng.standard_normal((l_rows, m_cols))
+        x[rng.random(x.shape) > 0.2] = 0.0
+        x[:, rng.choice(m_cols, n_empty, replace=False)] = 0.0
+        views.append(SparseView(x))
+    return views
+
+
+def data_less_columns(view):
+    return np.flatnonzero(np.bincount(view.raw.indices,
+                                      minlength=view.shape[1]) == 0)
+
+
+def with_explicit_zeros(view):
+    """The view with an explicit 0.0 stored in every column that held
+    nothing, so no column of it can be skipped."""
+    empty = data_less_columns(view)
+    coo = view.raw.tocoo()
+    full = SparseView(sp.coo_matrix(
+        (np.append(coo.data, np.zeros(empty.size)),
+         (np.append(coo.row, np.zeros(empty.size, dtype=int)),
+          np.append(coo.col, empty))), shape=view.shape))
+    assert full.nnz == view.nnz + empty.size
+    return full
+
+
+def assert_same_solve(got, want):
+    """Bitwise equal iterates and trace, apart from round-off in the
+    penalty sums of the trace's objective."""
+    (state, trace), (ref_state, ref_trace) = got, want
+    for name in ("q", "g", "y", "p"):
+        for a, b in zip(getattr(state, name), getattr(ref_state, name)):
+            np.testing.assert_array_equal(a, b)
+    for name in ("rho", "primal_residual", "total_correlation"):
+        np.testing.assert_array_equal(trace.column(name),
+                                      ref_trace.column(name))
+    np.testing.assert_allclose(trace.column("lagrangian"),
+                               ref_trace.column("lagrangian"),
+                               rtol=1e-12, atol=0.0)
+
+
+class TestDataLessColumns:
+    """run_pdd sweeps only the columns whose Q_i rows can move."""
+
+    CFG = SolverConfig(k=2, outer_max=12, seed=3, virtual_clock=True)
+
+    @staticmethod
+    def _reg(kind):
+        return rg.Regularizer(kind, lam=0.05, mu=0.1)
+
+    # wide views narrow to fewer columns than rows, where sigma^2 of the
+    # narrowed views would come from the other Gram
+    @pytest.mark.parametrize("shape", [(40, 25, 6), (20, 30, 12)],
+                             ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", rg.KINDS)
+    def test_matches_full_width_solve(self, kind, shape):
+        views = gappy_views(20, 3, *shape)
+        oracle = [with_explicit_zeros(v) for v in views]
+        assert_same_solve(run_pdd(views, self.CFG, self._reg(kind)),
+                          run_pdd(oracle, self.CFG, self._reg(kind)))
+
+    @pytest.mark.parametrize("kind", ["l1", "nonneg"])
+    def test_warm_start_rows_kept(self, kind):
+        # a nonzero start row on a column without data must still shrink
+        # or project (the start is infeasible for nonneg); the zero start
+        # rows there are skipped
+        views = gappy_views(21)
+        rng = np.random.default_rng(22)
+        start = init_random(views, 2, seed=4)
+        q = [rng.standard_normal(a.shape) for a in start.q]
+        for qi, v in zip(q, views):
+            qi[data_less_columns(v)[::2]] = 0.0
+        oracle = [with_explicit_zeros(v) for v in views]
+        got = run_pdd(views, self.CFG, self._reg(kind),
+                      init=SolverState(views, q, start.g, start.y))
+        want = run_pdd(oracle, self.CFG, self._reg(kind),
+                       init=SolverState(oracle, q, start.g, start.y))
+        assert_same_solve(got, want)
+        for qi, v, start_q in zip(got[0].q, views, q):
+            moving = data_less_columns(v)[1::2]
+            assert not np.array_equal(qi[moving], start_q[moving])
+
+    def test_sweeps_see_only_data_columns(self, monkeypatch):
+        widths = []
+
+        def recorded(state, *args, **kwargs):
+            widths.append([v.shape[1] for v in state.views])
+            return run_subsolver(state, *args, **kwargs)
+
+        monkeypatch.setattr("mvcca.solver.run_subsolver", recorded)
+        views = gappy_views(23)
+        run_pdd(views, self.CFG)
+        data_cols = [v.shape[1] - data_less_columns(v).size for v in views]
+        assert widths == [data_cols] * self.CFG.outer_max
+
+    def test_returned_state_on_callers_views(self):
+        views = gappy_views(24)
+        state, trace = run_pdd(views, self.CFG, self._reg("l21"))
+        for i, view in enumerate(views):
+            assert state.views[i] is view
+            assert state.q[i].shape == (view.shape[1], 2)
+            dropped = state.q[i][data_less_columns(view)]
+            assert np.all(dropped == 0.0) and not np.any(np.signbit(dropped))
+            np.testing.assert_array_equal(state.p[i],
+                                          spmm_right(view, state.q[i]))
+        again, trace2 = run_pdd(views, replace(self.CFG, outer_max=2),
+                                init=state)
+        assert trace2.rows[0].total_correlation \
+            == trace.rows[-1].total_correlation
+        assert [q.shape for q in again.q] == [q.shape for q in state.q]
+
+    @pytest.mark.parametrize("stored", [0, 3], ids=["none", "zeros"])
+    def test_empty_view_still_rejected(self, stored):
+        views = gappy_views(25)
+        empty = sp.coo_matrix((np.zeros(stored), (np.arange(stored),
+                                                   np.arange(stored))),
+                              shape=views[0].shape)
+        views[1] = SparseView(empty)
+        with pytest.raises(EmptyViewError, match="empty view"):
+            run_pdd(views, self.CFG)
 
 
 # the fixed-penalty ADMM baseline: one sweep and a dual step per cycle
