@@ -353,10 +353,13 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.text"):
         raise ConfigError("hash needs io.text")
+    try:
+        spec = retrieval.HashSpec(bits=cfg.get("retrieval.bits"),
+                                  seed=cfg.get("retrieval.hash_seed"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     path = Path(str(cfg.get("io.text")))
     text = _read_input(path, "text file", Path.read_text, "utf-8")
-    spec = retrieval.HashSpec(bits=cfg.get("retrieval.bits"),
-                              seed=cfg.get("retrieval.hash_seed"))
     docs = [line.split() for line in text.splitlines()]
     if not docs:
         raise InputError(f"empty corpus: {path}")

@@ -28,8 +28,10 @@ class SparseView:
     ``matrix`` is any scipy sparse matrix or dense array, one row per
     entity.  Duplicate (row, col) entries and non-finite values are
     rejected.  The view is used as given: callers who want centered or
-    scaled data transform it before building the view.  ``raw_t`` is
-    ``raw.T``, built once: a CSC view of the same arrays.
+    scaled data transform it before building the view.  Its index arrays
+    are int32 unless the matrix is too large for them, whatever the
+    input class.  ``raw_t`` is ``raw.T``, built once: a CSC view of the
+    same arrays.
     """
 
     __slots__ = ("raw", "raw_t")
@@ -46,7 +48,11 @@ class SparseView:
         raw.sum_duplicates()
         if sp.issparse(matrix) and raw.nnz < matrix.nnz:
             raise ValueError("duplicate (row, col) entries in view")
-        self.raw = raw
+        # rebuilt from its own arrays, the view gets scipy's index dtype
+        # for them (int32 unless it is too large), whatever the input
+        # class; narrow_columns rebuilds the same way, so it shares indptr
+        self.raw = raw = sp.csr_matrix((raw.data, raw.indices, raw.indptr),
+                                       shape=raw.shape)
         self.raw_t = raw.T
 
     @property

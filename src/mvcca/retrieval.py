@@ -51,39 +51,56 @@ def _token_slot_sign(token: str, spec: HashSpec) -> tuple[int, float]:
     return slot, sign
 
 
+def _hashed_csr(documents, spec: HashSpec) -> sp.csr_matrix:
+    """Canonical CSR of a corpus, built from arrays: one row per document.
+
+    The occurrences go into one flat list, each distinct token is hashed
+    once, and every occurrence is mapped to its token's slot and sign by
+    one array lookup.  One ``sum_duplicates`` then sorts each row's slots
+    and sums them, keeping a sum that cancels as an explicit zero.
+    """
+    flat: list = []
+    indptr = [0]
+    for doc in documents:
+        flat.extend(doc)
+        indptr.append(len(flat))
+    if len(indptr) == 1:
+        raise ValueError("empty corpus")
+    # distinct tokens in first-seen order, each with its position
+    position = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+    hashed = [_token_slot_sign(tok, spec) for tok in position]
+    slot = np.fromiter((s for s, _ in hashed), np.int32, len(hashed))
+    sign = np.fromiter((g for _, g in hashed), np.float64, len(hashed))
+    ids = np.fromiter(map(position.__getitem__, flat), np.intp, len(flat))
+    matrix = sp.csr_matrix((sign[ids], slot[ids], np.array(indptr)),
+                           shape=(len(indptr) - 1, spec.slots))
+    matrix.sum_duplicates()
+    return matrix
+
+
 def hash_featurize(tokens, spec: HashSpec) -> sp.csr_matrix:
     """Hash one token sequence into a signed 1 x 2**bits sparse row.
 
     Each occurrence adds +/-1 at its slot, so hashing a concatenation of
     two sequences equals the sum of their hashed rows exactly, and the
     expected inner product of two hashed rows equals the bag-of-words
-    inner product.  An empty sequence gives the zero row.
+    inner product.  An empty sequence gives the zero row.  The row is
+    the one-document corpus's canonical CSR, with float64 values and
+    int32 indices, returned as built: its values are sums of +/-1 and
+    its duplicates are summed, so it needs none of a view's checks.
     """
-    return hash_corpus([tokens], spec).raw
+    return _hashed_csr([tokens], spec)
 
 
 def hash_corpus(documents, spec: HashSpec) -> SparseView:
-    """Hash a sequence of token lists into one view, one row per document.
+    """Hash an iterable of token iterables into one view, one row each.
 
-    Each distinct token is hashed once.  A document's occurrences in one
-    slot are summed, and a sum that cancels stays an explicit zero.
+    Documents may be any iterables, generators included.  All
+    occurrences are hashed as arrays: each distinct token is hashed
+    once, the CSR is built in one step, and a document's occurrences in
+    one slot are summed, so a sum that cancels stays an explicit zero.
     """
-    memo: dict[str, tuple[int, float]] = {}
-    rows, slots, signs = [], [], []
-    row = -1
-    for row, doc in enumerate(documents):
-        for tok in doc:
-            if tok not in memo:
-                memo[tok] = _token_slot_sign(tok, spec)
-            slot, sign = memo[tok]
-            rows.append(row)
-            slots.append(slot)
-            signs.append(sign)
-    if row < 0:
-        raise ValueError("empty corpus")
-    # converting the triplets to CSR sums the (row, slot) duplicates
-    return SparseView(sp.csr_matrix((signs, (rows, slots)),
-                                    shape=(row + 1, spec.slots)))
+    return SparseView(_hashed_csr(documents, spec))
 
 
 def split_rows(n_rows: int, seed: int,

@@ -411,6 +411,17 @@ class TestHashAndRetrievalCommands:
         err = capsys.readouterr().err
         assert "empty corpus" in err and str(text) in err
 
+    @pytest.mark.parametrize("bits", [0, 31])
+    def test_out_of_range_bits_exit_code(self, tmp_path, capsys, bits):
+        text = tmp_path / "docs.txt"
+        text.write_text("the quick fox\n")
+        cfg = write_cfg(tmp_path / "hash.cfg",
+                        f"io.text = {text}\nretrieval.bits = {bits}\n")
+        out = tmp_path / "hashed"
+        assert main(["hash", "--config", cfg, "--out", str(out)]) == 2
+        assert "bits must be in [1, 30]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_retrieval(self, tmp_path, synth_dir):
         solve_cfg = write_cfg(tmp_path / "solve.cfg",
                               SOLVE_CFG.format(data_dir=synth_dir))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.io
@@ -80,21 +82,31 @@ class TestNarrowColumns:
 
     def test_shares_entries_and_keeps_products(self):
         rng = np.random.default_rng(30)
-        view = self._gappy_view(rng)
+        given = self._gappy_view(rng).raw
         cols = np.array([0, 2, 3, 5])
-        narrow = narrow_columns(view, cols)
-        assert narrow.shape == (9, 4) and narrow.nnz == view.nnz
-        assert np.shares_memory(narrow.raw.data, view.raw.data)
-        assert np.shares_memory(narrow.raw.indptr, view.raw.indptr)
-        assert not np.shares_memory(narrow.raw.indices, view.raw.indices)
-        assert _shares_arrays(narrow.raw_t, narrow.raw)
         right = rng.standard_normal((7, 3))
         left = rng.standard_normal((9, 3))
-        # bitwise: the same terms summed in the same order
-        np.testing.assert_array_equal(spmm_right(narrow, right[cols]),
-                                      spmm_right(view, right))
-        np.testing.assert_array_equal(spmm_left_t(narrow, left),
-                                      spmm_left_t(view, left)[cols])
+        for cls, index_dtype in itertools.product(
+                (sp.csr_matrix, sp.csr_array), (np.int32, np.int64)):
+            view = SparseView(cls((given.data,
+                                   given.indices.astype(index_dtype),
+                                   given.indptr.astype(index_dtype)),
+                                  shape=given.shape))
+            # one index dtype for every view, whatever the input class
+            assert view.raw.indices.dtype == np.int32
+            assert view.raw.indptr.dtype == np.int32
+            narrow = narrow_columns(view, cols)
+            assert narrow.shape == (9, 4) and narrow.nnz == view.nnz
+            assert np.shares_memory(narrow.raw.data, view.raw.data)
+            assert np.shares_memory(narrow.raw.indptr, view.raw.indptr)
+            assert not np.shares_memory(narrow.raw.indices,
+                                        view.raw.indices)
+            assert _shares_arrays(narrow.raw_t, narrow.raw)
+            # bitwise: the same terms summed in the same order
+            np.testing.assert_array_equal(spmm_right(narrow, right[cols]),
+                                          spmm_right(view, right))
+            np.testing.assert_array_equal(spmm_left_t(narrow, left),
+                                          spmm_left_t(view, left)[cols])
 
     @pytest.mark.parametrize("cols", [[0, 2, 5], [0, 2, 3], [0, 3, 2, 5],
                                       [0, 0, 2, 3, 5], [-1, 0, 2, 3, 5]])

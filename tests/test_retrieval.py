@@ -141,6 +141,92 @@ class TestHashCorpus:
         assert sorted(calls) == ["a", "b", "c"]
 
 
+def signed_sums(docs, spec):
+    """Reference rows: one {slot: summed sign} dict per document, from
+    the per-token hash."""
+    rows = []
+    for doc in docs:
+        row = {}
+        for tok in doc:
+            slot, sign = retrieval._token_slot_sign(tok, spec)
+            row[slot] = row.get(slot, 0.0) + sign
+        rows.append(row)
+    return rows
+
+
+def assert_hashed_rows(matrix, rows, spec):
+    """``matrix`` is the canonical int32-index CSR of the reference rows,
+    cancelled slots kept as explicit zeros."""
+    assert type(matrix) is sp.csr_matrix
+    assert matrix.shape == (len(rows), spec.slots)
+    assert matrix.has_canonical_format
+    assert matrix.data.dtype == np.float64
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    np.testing.assert_array_equal(
+        matrix.indptr, np.cumsum([0] + [len(row) for row in rows]))
+    for i, row in enumerate(rows):
+        start, end = matrix.indptr[i:i + 2]
+        assert matrix.indices[start:end].tolist() == sorted(row)
+        assert matrix.data[start:end].tolist() == [row[s] for s in sorted(row)]
+
+
+def random_docs(rng, n_docs, vocab, max_len):
+    return [[str(t) for t in rng.choice(vocab, size=rng.integers(0, max_len))]
+            for _ in range(n_docs)]
+
+
+class TestArrayBuiltHashing:
+    """``hash_corpus`` and ``hash_featurize`` against per-document sums
+    of ``_token_slot_sign``."""
+
+    CORPORA = {
+        # tokens repeat within and across documents, and 16 slots for 40
+        # tokens make slots collide and cancel
+        "cancelling": (random_docs(np.random.default_rng(40), 60,
+                                   [f"w{i}" for i in range(40)], 12), 4),
+        "empty first and last": ([[], ["a", "b"], [], ["b", "a", "c"], []],
+                                 8),
+        "all empty": ([[], [], []], 8),
+        "repeated across documents": ([["x", "y"], ["y", "x", "x"], ["x"],
+                                       ["z", "y"]], 10),
+        "non-ascii": ([["café", "naïve", "日本語"], ["🙂", "straße", "café"],
+                       ["Ωmega", "日本語", "🙂", "🙂"]], 12),
+        "one bit": (random_docs(np.random.default_rng(41), 20,
+                                [f"t{i}" for i in range(9)], 7), 1),
+    }
+
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_matches_signed_sums(self, name):
+        docs, bits = self.CORPORA[name]
+        spec = HashSpec(bits=bits, seed=7)
+        rows = signed_sums(docs, spec)
+        view = hash_corpus(docs, spec)
+        assert_hashed_rows(view.raw, rows, spec)
+        for i, doc in enumerate(docs):
+            one = hash_featurize(doc, spec)
+            assert_hashed_rows(one, rows[i:i + 1], spec)
+            assert (one != view.raw[i]).nnz == 0
+
+    def test_random_corpora_keep_cancelled_slots(self):
+        rng = np.random.default_rng(42)
+        zeros = 0
+        for trial in range(10):
+            docs = random_docs(rng, 50, [f"v{i}" for i in range(25)], 15)
+            spec = HashSpec(bits=3, seed=trial)
+            raw = hash_corpus(docs, spec).raw
+            assert_hashed_rows(raw, signed_sums(docs, spec), spec)
+            zeros += int(np.sum(raw.data == 0.0))
+        assert zeros > 0
+
+    def test_generator_corpus_of_generator_documents(self):
+        docs = [["a", "b", "a"], [], ["c", "é", "b"], ["a"]]
+        spec = HashSpec(bits=5, seed=3)
+        got = hash_corpus(((tok for tok in doc) for doc in docs), spec)
+        assert_hashed_rows(got.raw, signed_sums(docs, spec), spec)
+        one = hash_featurize((tok for tok in docs[2]), spec)
+        assert_hashed_rows(one, signed_sums(docs[2:3], spec), spec)
+
+
 class TestSplitRows:
     def test_partition_and_sizes(self):
         train, test, val = split_rows(100, seed=4)
