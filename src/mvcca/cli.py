@@ -49,6 +49,17 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# config keys whose names differ from their dataclass fields'
+_RENAMED = {(Regularizer, "lam"): "lambda",
+            (retrieval.HashSpec, "seed"): "hash_seed"}
+
+
+def _keys(prefix: str, cls) -> list[tuple[str, dataclasses.Field]]:
+    """The config key of each dataclass field, with the field."""
+    return [(f"{prefix}.{_RENAMED.get((cls, f.name), f.name)}", f)
+            for f in dataclasses.fields(cls)]
+
+
 def _field_keys(prefix: str, cls) -> dict[str, tuple]:
     """One key per dataclass field, cast by its annotated type.
 
@@ -56,12 +67,11 @@ def _field_keys(prefix: str, cls) -> dict[str, tuple]:
     """
     hints = typing.get_type_hints(cls)
     keys = {}
-    for f in dataclasses.fields(cls):
+    for key, f in _keys(prefix, cls):
         hint = hints[f.name]
         caster = next((t for t in typing.get_args(hint)
                        if t is not type(None)), hint)
-        keys[f"{prefix}.{f.name}"] = (_bool if caster is bool else caster,
-                                      f.default)
+        keys[key] = (_bool if caster is bool else caster, f.default)
     return keys
 
 
@@ -69,12 +79,9 @@ def _field_keys(prefix: str, cls) -> dict[str, tuple]:
 # given, a None default means unset
 _BASE_KEYS = {
     **_field_keys("solver", SolverConfig),
-    "reg.kind": (str, "none"),
-    "reg.lambda": (float, 0.0),
-    "reg.mu": (float, 0.0),
+    **_field_keys("reg", Regularizer),
     **_field_keys("synth", synth.SynthSpec),
-    "retrieval.bits": (int, 19),
-    "retrieval.hash_seed": (int, 0),
+    **_field_keys("retrieval", retrieval.HashSpec),
     "io.data_dir": (str, ""),
     "io.run_dir": (str, ""),
     "io.views": (str, ""),
@@ -83,7 +90,8 @@ _BASE_KEYS = {
     "io.name": (str, "hashed"),
 }
 
-_PER_VIEW_REG = re.compile(r"^reg\.(\d+)\.(kind|lambda|mu)$")
+# reg.<i>.<name> overrides reg.<name> for view i
+_PER_VIEW_REG = re.compile(r"^reg\.\d+\.(\w+)$")
 
 
 class RunConfig:
@@ -93,12 +101,10 @@ class RunConfig:
         self.values: dict[str, object] = {}
         for key, text in raw.items():
             match = _PER_VIEW_REG.match(key)
-            if match:
-                caster = str if match.group(2) == "kind" else float
-            elif key in _BASE_KEYS:
-                caster = _BASE_KEYS[key][0]
-            else:
+            base = f"reg.{match.group(1)}" if match else key
+            if base not in _BASE_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            caster = _BASE_KEYS[base][0]
             try:
                 self.values[key] = caster(text)
             except ValueError as exc:
@@ -159,16 +165,26 @@ def fmt_value(v) -> str:
 
 
 def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
-    try:
-        base = Regularizer(kind=cfg.get("reg.kind"),
-                           lam=cfg.get("reg.lambda"),
-                           mu=cfg.get("reg.mu"))
-        return [Regularizer(kind=cfg.values.get(f"reg.{i}.kind", base.kind),
-                            lam=cfg.values.get(f"reg.{i}.lambda", base.lam),
-                            mu=cfg.values.get(f"reg.{i}.mu", base.mu))
-                for i in range(n_views)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """One penalty per view; a ``reg.<i>.*`` key overrides its ``reg.*``
+    key.  Each value is checked on its own, so an error names its key."""
+    def checked(key: str, name: str):
+        value = cfg.get(key)
+        try:
+            Regularizer(**{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        return value
+
+    base = {f.name: checked(key, f.name)
+            for key, f in _keys("reg", Regularizer)}
+    regs = []
+    for i in range(n_views):
+        kwargs = dict(base)
+        for key, f in _keys(f"reg.{i}", Regularizer):
+            if key in cfg.values:
+                kwargs[f.name] = checked(key, f.name)
+        regs.append(Regularizer(**kwargs))
+    return regs
 
 
 def _view_paths(cfg: RunConfig) -> list[Path]:
@@ -252,9 +268,8 @@ def _read_index_sets(path: Path, n_cols: int):
 
 
 def _from_keys(cls, prefix: str, cfg: RunConfig):
-    """Build a config dataclass from its ``<prefix>.<field>`` keys."""
-    kwargs = {f.name: cfg.get(f"{prefix}.{f.name}")
-              for f in dataclasses.fields(cls)}
+    """Build a config dataclass from its ``<prefix>.*`` keys."""
+    kwargs = {f.name: cfg.get(key) for key, f in _keys(prefix, cls)}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -353,11 +368,7 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.text"):
         raise ConfigError("hash needs io.text")
-    try:
-        spec = retrieval.HashSpec(bits=cfg.get("retrieval.bits"),
-                                  seed=cfg.get("retrieval.hash_seed"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _from_keys(retrieval.HashSpec, "retrieval", cfg)
     path = Path(str(cfg.get("io.text")))
     text = _read_input(path, "text file", Path.read_text, "utf-8")
     docs = [line.split() for line in text.splitlines()]

@@ -14,9 +14,10 @@ nonconvex problem.
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -135,9 +136,7 @@ class Trace:
     def to_csv(self, path) -> None:
         lines = [",".join(TRACE_COLUMNS)]
         for r in self.rows:
-            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-                r.iteration, r.seconds, r.rho, r.primal_residual,
-                r.lagrangian, r.total_correlation))
+            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g" % astuple(r))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -186,16 +185,8 @@ class SolverState:
         return self.g[0].shape[1]
 
     def copy(self) -> "SolverState":
-        dup = SolverState.__new__(SolverState)
-        dup.views = list(self.views)
-        dup.q = [a.copy() for a in self.q]
-        dup.g = [a.copy() for a in self.g]
-        dup.y = [a.copy() for a in self.y]
-        dup.p = [a.copy() for a in self.p]
-        dup.rho = self.rho
-        dup.sigma_sq = None if self.sigma_sq is None else list(self.sigma_sq)
-        dup.moved = self.moved
-        return dup
+        """A deep copy of every attribute that shares the views."""
+        return copy.deepcopy(self, {id(v): v for v in self.views})
 
     def ensure_sigma(self, seed: int) -> None:
         """Cache the squared spectral norm of every view (seeded Lanczos)."""
@@ -441,24 +432,22 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     return max_sweeps
 
 
-def _narrow(state: SolverState) -> list[np.ndarray | None]:
+def _narrow(state: SolverState) -> list[np.ndarray]:
     """Narrow every view of ``state`` to the columns whose Q_i row can move.
 
     A column of X_i that stores no entry gives a zero row in X_i^T(.),
     so a zero row of Q_i there stays zero through the gradient step, and
     every prox maps a zero row to zero: the row never moves and never
     enters a product.  Columns that store an entry (explicit zeros
-    count) or start with a nonzero row are kept.  Returns the kept
-    column indices per view, None where every column is kept.
+    count) or start with a nonzero row are kept; a view that keeps them
+    all still costs a copy of its column indices.  Returns the kept
+    column indices per view.
     """
     kept = []
     for i, view in enumerate(state.views):
         keep = np.zeros(view.shape[1], dtype=bool)
         keep[view.raw.indices] = True
         keep |= np.any(state.q[i] != 0.0, axis=1)
-        if keep.all():
-            kept.append(None)
-            continue
         cols = np.flatnonzero(keep)
         state.views[i] = narrow_columns(view, cols)
         state.q[i] = state.q[i][cols]
@@ -467,13 +456,12 @@ def _narrow(state: SolverState) -> list[np.ndarray | None]:
 
 
 def _widen(state: SolverState, views: list[SparseView],
-           kept: list[np.ndarray | None]) -> None:
-    """Undo :func:`_narrow`: zero rows back into every narrowed Q_i."""
+           kept: list[np.ndarray]) -> None:
+    """Undo :func:`_narrow`: zero rows back into every Q_i."""
     for i, cols in enumerate(kept):
-        if cols is not None:
-            full = np.zeros((views[i].shape[1], state.k))
-            full[cols] = state.q[i]
-            state.q[i] = full
+        full = np.zeros((views[i].shape[1], state.k))
+        full[cols] = state.q[i]
+        state.q[i] = full
     # the products P_i are bitwise those of the full views
     state.views = list(views)
 
@@ -488,11 +476,12 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     once the residual meets ``tol_feas`` and a one-sweep sub-solve moved
     no entry by more than ``tol_change``.
 
-    The sweeps skip the columns of each view that store no entry, where
-    the start row of Q_i is zero: those rows stay exactly zero, so one
+    Every view is narrowed to its columns that store an entry or start
+    with a nonzero row of Q_i; the other rows stay exactly zero, so one
     sweep costs O(nnz(X_i) K) sparse work plus O(I L K) and
     O(M_data_i K) dense work, with M_data_i the columns of X_i that hold
-    data.  The spectral norms are those of the full views.
+    data.  The solve holds a renumbered copy of each view's column
+    indices.  The spectral norms are those of the full views.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The

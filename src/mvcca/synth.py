@@ -49,8 +49,9 @@ class SynthSpec:
             raise ValueError("density must be in (0, 1]")
         if self.outliers < 0:
             raise ValueError("outliers must be >= 0")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        # written so that NaN fails
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError("noise_var must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mvcca.cli import fmt_value, main
+from mvcca.cli import RunConfig, fmt_value, main
 from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
+from mvcca.regularizers import Regularizer
 from mvcca.retrieval import HashSpec, hash_corpus
 from mvcca.solver import SolverConfig, Trace
 from mvcca.synth import SynthSpec
@@ -509,7 +510,8 @@ class TestConfigParsing:
 
 
 class TestKeysMirrorDataclasses:
-    """solver.* and synth.* are the fields of SolverConfig and SynthSpec."""
+    """solver.*, reg.*, synth.* and retrieval.* are the fields of
+    SolverConfig, Regularizer, SynthSpec and HashSpec."""
 
     @staticmethod
     def check_defaults_echoed(cls, prefix, echo, given):
@@ -597,18 +599,46 @@ class TestKeysMirrorDataclasses:
     KNOB_CASES = {"solver.eta0 = nan": "eta0",
                   "solver.tol_change = -5": "tol_change",
                   "solver.safety = 0": "safety",
-                  "solver.power_iters = 0": "unknown config key"}
+                  "solver.power_iters = 0": "unknown config key",
+                  "reg.kind = l1\nreg.lambda = nan": "reg.lambda",
+                  "reg.kind = l1\nreg.lambda = inf": "reg.lambda",
+                  "reg.kind = elastic_l21\nreg.mu = nan": "reg.mu",
+                  "reg.1.lambda = nan": "reg.1.lambda",
+                  "reg.1.power = 2": "unknown config key",
+                  "synth.outliers = 20\nsynth.noise_var = nan": "noise_var",
+                  "synth.outliers = 20\nsynth.noise_var = inf": "noise_var"}
 
     @pytest.mark.parametrize("line", list(KNOB_CASES))
     def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
                                         line):
-        cfg = write_cfg(tmp_path / "solve.cfg",
-                        SOLVE_CFG.format(data_dir=synth_dir) + line + "\n")
-        assert main(["solve", "--config", cfg,
+        # synth.* cases run the synth command, the others a solve
+        command, base = (("synth", SYNTH_CFG) if line.startswith("synth.")
+                         else ("solve", SOLVE_CFG.format(data_dir=synth_dir)))
+        cfg = write_cfg(tmp_path / "run.cfg", base + line + "\n")
+        assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert self.KNOB_CASES[line] in err
+
+    # config key -> field of the dataclass that holds its default
+    DEFAULT_FIELDS = {"reg.kind": (Regularizer, "kind"),
+                      "reg.lambda": (Regularizer, "lam"),
+                      "reg.mu": (Regularizer, "mu"),
+                      "retrieval.bits": (HashSpec, "bits"),
+                      "retrieval.hash_seed": (HashSpec, "seed")}
+
+    @pytest.mark.parametrize("key", list(DEFAULT_FIELDS))
+    def test_reg_and_retrieval_defaults_from_dataclasses(self, key):
+        cls, name = self.DEFAULT_FIELDS[key]
+        default = RunConfig({}).get(key)
+        assert type(default) is type(getattr(cls(), name))
+        assert default == getattr(cls(), name)
+        # a per-view override casts as its base key
+        if key.startswith("reg."):
+            view_key = key.replace("reg.", "reg.2.", 1)
+            value = RunConfig({view_key: "1"}).values[view_key]
+            assert type(value) is type(default)
 
     def test_readme_key_table_lists_fields(self):
         readme = (Path(__file__).resolve().parents[1]

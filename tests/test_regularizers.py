@@ -38,10 +38,11 @@ class TestPenaltyValue:
             assert penalty_value(reg, rng.standard_normal((4, 3))) >= 0.0
 
     def test_bad_weights(self):
-        with pytest.raises(ValueError):
-            Regularizer("l1", lam=-1.0)
-        with pytest.raises(ValueError):
-            Regularizer("l1", mu=-0.1)
+        for name in ("lam", "mu"):
+            for value in (-0.1, math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"{name} must be finite and >= 0"):
+                    Regularizer("elastic_l21", **{name: value})
         with pytest.raises(ValueError):
             Regularizer("huber")
 

@@ -1,12 +1,13 @@
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mvcca.regularizers as rg
-from mvcca.linalg import SparseView, spectral_norm_sq, spmm_right
+from mvcca.linalg import (SparseView, narrow_columns, spectral_norm_sq,
+                          spmm_right)
 from mvcca.solver import (EmptyViewError, RegularityError, SolverConfig,
                           SolverState, StepSizeError, dual_or_penalty_step,
                           grad_q, init_random, lagrangian_value,
@@ -339,6 +340,35 @@ class TestRunSubsolver:
                           safety=100.0)
 
 
+class TestStateCopy:
+    def test_copies_every_attribute_but_the_views(self):
+        state = random_state(np.random.default_rng(30))
+        state.extra = np.ones(3)
+        dup = state.copy()
+        assert dup.views is not state.views
+        assert all(a is b for a, b in zip(dup.views, state.views))
+
+        def arrays(s):
+            return s.q + s.g + s.y + s.p + [s.extra]
+
+        for a, b in zip(arrays(dup), arrays(state), strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
+        assert dup.sigma_sq == state.sigma_sq
+        assert (dup.rho, dup.moved) == (state.rho, state.moved)
+
+        snapshot = [a.copy() for a in arrays(state)]
+        sigma_sq, n_views = list(state.sigma_sq), state.num_views
+        for a in arrays(dup):
+            a += 1.0
+        dup.sigma_sq[0] = -1.0
+        dup.views.pop()
+        for a, b in zip(arrays(state), snapshot):
+            np.testing.assert_array_equal(a, b)
+        assert state.sigma_sq == sigma_sq
+        assert state.num_views == n_views
+
+
 class TestRunPdd:
     def _aligned_views(self, seed=0, l_rows=12, m_cols=8):
         rng = np.random.default_rng(seed)
@@ -391,6 +421,27 @@ class TestRunPdd:
         for old, new in zip(snapshot, init.q + init.g):
             np.testing.assert_array_equal(old, new)
         assert state is not init
+
+    def test_fortran_ordered_init(self):
+        # the start is copied in the caller's memory order
+        rng = np.random.default_rng(31)
+        views = random_views(rng, 3, 20, 2)
+        start = init_random(views, 2, seed=1)
+        q = [rng.standard_normal(a.shape) for a in start.q]
+        y = [0.1 * rng.standard_normal(a.shape) for a in start.y]
+        c_init = SolverState(views, q, start.g, y)
+        f_init = SolverState(views, *([np.asfortranarray(a) for a in blocks]
+                                      for blocks in (q, start.g, y)))
+        for a in f_init.q + f_init.g + f_init.y:
+            assert a.flags.f_contiguous and not a.flags.c_contiguous
+        cfg = SolverConfig(k=2, outer_max=8, seed=3, virtual_clock=True)
+        reg = rg.Regularizer("l21", lam=0.05)
+        got, trace = run_pdd(views, cfg, reg, init=f_init)
+        want, ref_trace = run_pdd(views, cfg, reg, init=c_init)
+        for name in ("q", "g", "y", "p"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                np.testing.assert_array_equal(a, b)
+        assert [astuple(r) for r in trace] == [astuple(r) for r in ref_trace]
 
     @pytest.mark.parametrize("n_other", [3, 2])
     def test_init_on_other_views_rejected(self, n_other):
@@ -494,7 +545,7 @@ def data_less_columns(view):
 
 def with_explicit_zeros(view):
     """The view with an explicit 0.0 stored in every column that held
-    nothing, so no column of it can be skipped."""
+    nothing, so narrowing keeps every column of it."""
     empty = data_less_columns(view)
     coo = view.raw.tocoo()
     full = SparseView(sp.coo_matrix(
@@ -535,6 +586,8 @@ class TestDataLessColumns:
                              ids=["tall", "wide"])
     @pytest.mark.parametrize("kind", rg.KINDS)
     def test_matches_full_width_solve(self, kind, shape):
+        # both solves narrow their views; the oracle stores an entry in
+        # every column, so it keeps them all and sweeps at full width
         views = gappy_views(20, 3, *shape)
         oracle = [with_explicit_zeros(v) for v in views]
         assert_same_solve(run_pdd(views, self.CFG, self._reg(kind)),
@@ -573,6 +626,21 @@ class TestDataLessColumns:
         run_pdd(views, self.CFG)
         data_cols = [v.shape[1] - data_less_columns(v).size for v in views]
         assert widths == [data_cols] * self.CFG.outer_max
+
+    def test_views_with_data_in_every_column_narrowed(self, monkeypatch):
+        calls = []
+
+        def counted(view, cols):
+            calls.append(cols.size == view.shape[1])
+            return narrow_columns(view, cols)
+
+        monkeypatch.setattr("mvcca.solver.narrow_columns", counted)
+        rng = np.random.default_rng(26)
+        views = random_views(rng, 3, 12, 2)
+        state, _ = run_pdd(views, self.CFG)
+        assert calls == [True] * len(views)
+        for view, q in zip(views, state.q):
+            assert q.shape == (view.shape[1], 2)
 
     def test_returned_state_on_callers_views(self):
         views = gappy_views(24)

@@ -22,6 +22,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(rows=0, features=5, views=2)
 
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_bad_noise_var(self, value):
+        with pytest.raises(ValueError, match="noise_var must be finite"):
+            SynthSpec(rows=10, features=5, views=2, outliers=3,
+                      noise_var=value)
+
     def test_index_sets_disjoint(self):
         with pytest.raises(ValueError, match="overlap"):
             IndexSets(np.array([0, 1]), np.array([1, 2]))
