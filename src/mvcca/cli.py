@@ -252,19 +252,19 @@ def _read_index_sets(path: Path, n_cols: int):
            if not re.fullmatch(r"[+-]?[0-9]+", t)]
     if bad:
         raise ValueError(f"column index {bad[0]!r} is not an integer")
-    signal = np.array([int(t) for t in lines[0].split()], dtype=np.int64)
-    outlier = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
-    if signal.size == 0:
+    signal, outlier = ([int(t) for t in line.split()] for line in lines[:2])
+    if not signal:
         raise ValueError("no signal column index")
-    listed = np.concatenate([signal, outlier])
-    outside = listed[(listed < 0) | (listed >= n_cols)]
-    if outside.size:
+    # checked as Python ints: an index past int64 would overflow the array
+    outside = [i for i in signal + outlier if not 0 <= i < n_cols]
+    if outside:
         raise ValueError(f"column index {outside[0]} outside 0..{n_cols - 1}")
-    values, counts = np.unique(listed, return_counts=True)
+    values, counts = np.unique(signal + outlier, return_counts=True)
     if np.any(counts > 1):
         raise ValueError(f"column index {values[counts > 1][0]} listed "
                          "more than once")
-    return signal, outlier
+    return (np.array(signal, dtype=np.int64),
+            np.array(outlier, dtype=np.int64))
 
 
 def _from_keys(cls, prefix: str, cfg: RunConfig):

@@ -28,7 +28,8 @@ class HashSpec:
 
     The token hash is pinned to BLAKE2b keyed by the seed: the first
     eight digest bytes pick the slot, the ninth picks the sign.  Hashed
-    corpora are therefore reproducible byte for byte across runs.
+    corpora are therefore reproducible byte for byte across runs.  The
+    seed is the eight-byte key, so it lies in [0, 2**64).
     """
 
     bits: int = 19
@@ -37,6 +38,8 @@ class HashSpec:
     def __post_init__(self):
         if not 1 <= self.bits <= 30:
             raise ValueError("bits must be in [1, 30]")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2**64)")
 
     @property
     def slots(self) -> int:
@@ -44,7 +47,7 @@ class HashSpec:
 
 
 def _token_slot_sign(token: str, spec: HashSpec) -> tuple[int, float]:
-    key = (spec.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    key = spec.seed.to_bytes(8, "little")
     digest = blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
     slot = int.from_bytes(digest[:8], "little") & (spec.slots - 1)
     sign = 1.0 if digest[8] & 1 else -1.0

@@ -75,6 +75,8 @@ class SolverConfig:
         # comparisons are written so that NaN fails them
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("rho0", "eps0", "safety"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -130,9 +132,6 @@ class Trace:
         attr = "iteration" if name == "iter" else name
         return np.array([getattr(r, attr) for r in self.rows])
 
-    def percents(self) -> np.ndarray:
-        return 100.0 * self.column("total_correlation") / self.ideal
-
     def to_csv(self, path) -> None:
         lines = [",".join(TRACE_COLUMNS)]
         for r in self.rows:
@@ -166,7 +165,8 @@ class SolverState:
     sparse matrix exactly twice per gradient step.
     """
 
-    def __init__(self, views: Sequence[SparseView], q, g, y, rho: float = 0.0):
+    def __init__(self, views: Sequence[SparseView], q, g, y,
+                 rho: float = SolverConfig.rho0):
         self.views = list(views)
         self.q = [np.array(a, dtype=np.float64) for a in q]
         self.g = [np.array(a, dtype=np.float64) for a in g]
@@ -201,12 +201,14 @@ class SolverState:
 def validate_dimensions(views: Sequence[SparseView], k: int) -> None:
     """Check the dimension conditions that keep the constraint system regular.
 
-    Requires the mean feature count and the shared row count to be at
-    least (K+1)/2, and all views to agree on the row count.
+    Requires at least two views, the mean feature count and the shared
+    row count to be at least (K+1)/2, and all views to agree on the row
+    count.
     """
     views = list(views)
-    if not views:
-        raise ValueError("no views given")
+    if len(views) < 2:
+        raise RegularityError(
+            f"regularity check failed: {len(views)} view(s), need >= 2")
     l_rows = views[0].shape[0]
     if any(v.shape[0] != l_rows for v in views):
         raise ValueError("views disagree on row count")
@@ -240,31 +242,27 @@ def _total(mats: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def grad_q(i: int, state: SolverState, rho: float,
-           sum_g: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the smooth part of the block-i objective.
+def grad_q(i: int, state: SolverState, sum_g: np.ndarray) -> np.ndarray:
+    """Gradient of the smooth part of the block-i objective at ``state.rho``.
 
     Evaluates X_i^T [(I-1+rho) X_i Q_i - sum_{j!=i} G_j - rho G_i + Y_i]
     using the cached product P_i, so the cost is one sparse transpose
-    product, O(nnz(X_i) * K).  ``sum_g`` is the total of all G blocks;
-    a sweep passes it in once for all views, and it is formed here when
-    omitted.
+    product, O(nnz(X_i) * K).  ``sum_g`` is the total of all G blocks,
+    formed once per sweep by the caller.
     """
-    if sum_g is None:
-        sum_g = _total(state.g)
-    n = state.num_views
-    agg = (n - 1 + rho) * state.p[i]
+    rho = state.rho
+    agg = (state.num_views - 1 + rho) * state.p[i]
     agg -= sum_g
     agg += (1.0 - rho) * state.g[i]
     agg += state.y[i]
     return spmm_left_t(state.views[i], agg)
 
 
-def step_size(i: int, state: SolverState, rho: float,
+def step_size(i: int, state: SolverState,
               safety: float = SolverConfig.safety) -> float:
     """Inverse Lipschitz bound for the block-i gradient, times a safety factor.
 
-    The smooth block Hessian is (I-1+rho) X_i^T X_i, so
+    The smooth block Hessian is (I-1+rho) X_i^T X_i at ``state.rho``, so
     alpha = safety / ((I-1+rho) * sigma_max^2(X_i)).
     """
     if state.sigma_sq is None:
@@ -272,37 +270,32 @@ def step_size(i: int, state: SolverState, rho: float,
     sigma = state.sigma_sq[i]
     if sigma <= 0.0:
         raise EmptyViewError("empty view")
-    return safety / ((state.num_views - 1 + rho) * sigma)
+    return safety / ((state.num_views - 1 + state.rho) * sigma)
 
 
-def update_q(i: int, state: SolverState, rho: float, reg: rg.Regularizer,
-             safety: float = SolverConfig.safety,
-             sum_g: np.ndarray | None = None) -> np.ndarray:
-    """One prox-gradient step on Q_i with all G blocks frozen.
+def update_q(i: int, state: SolverState, reg: rg.Regularizer, alpha: float,
+             sum_g: np.ndarray) -> np.ndarray:
+    """One prox-gradient step of size ``alpha`` on Q_i, all G blocks frozen.
 
-    The step moves along the negative gradient with the safeguarded
-    step size, applies the penalty's prox, and refreshes the cache
-    P_i = X_i Q_i.  ``sum_g`` is passed on to :func:`grad_q`.
+    The step moves along the negative gradient, applies the penalty's
+    prox, and refreshes the cache P_i = X_i Q_i.  ``alpha`` comes from
+    :func:`step_size`; ``sum_g`` is passed on to :func:`grad_q`.
     """
-    alpha = step_size(i, state, rho, safety)
-    grad = grad_q(i, state, rho, sum_g)
+    grad = grad_q(i, state, sum_g)
     state.q[i] = rg.prox(reg, state.q[i] - alpha * grad, alpha)
     state.p[i] = spmm_right(state.views[i], state.q[i])
     return state.q[i]
 
 
-def update_g(i: int, state: SolverState, rho: float,
-             sum_p: np.ndarray | None = None) -> np.ndarray:
+def update_g(i: int, state: SolverState, sum_p: np.ndarray) -> np.ndarray:
     """Closest-orthonormal update of G_i from the fresh product caches.
 
     The minimizer over orthonormal G of the block objective is the
-    polar factor of sum_{j!=i} P_j + rho P_i + Y_i.  ``sum_p`` is the
-    total of all P blocks; a sweep passes it in once for all views, and
-    it is formed here when omitted.
+    polar factor of sum_{j!=i} P_j + rho P_i + Y_i at ``state.rho``.
+    ``sum_p`` is the total of all P blocks, formed once per sweep by the
+    caller.
     """
-    if sum_p is None:
-        sum_p = _total(state.p)
-    agg = (rho - 1.0) * state.p[i]
+    agg = (state.rho - 1.0) * state.p[i]
     agg += sum_p
     agg += state.y[i]
     state.g[i] = polar_factor(agg)
@@ -318,12 +311,13 @@ def primal_residual(state: SolverState) -> float:
     return val
 
 
-def lagrangian_value(state: SolverState, rho: float, regs,
+def lagrangian_value(state: SolverState, regs,
                      sum_p: np.ndarray | None = None,
                      sum_g: np.ndarray | None = None) -> float:
     """Augmented Lagrangian the sub-solver descends (traced and checked).
 
-    The coupling is summed over ordered view pairs, as in the updates.
+    The penalty weight is ``state.rho``.  The coupling is summed over
+    ordered view pairs, as in the updates.
     Penalties enter at half weight, 1/2 * sum_i r_i(Q_i), because the
     prox has no 1/2 on its quadratic (see :mod:`.regularizers`).  The
     totals of all P and G blocks are formed here when omitted.
@@ -337,7 +331,7 @@ def lagrangian_value(state: SolverState, rho: float, regs,
     # ((I-1) sum_i (||P_i||^2 + ||G_i||^2)) / 2
     #     - (<sum P, sum G> - sum_i <P_i, G_i>),
     # so one pass over the views costs O(I L K) instead of O(I^2 L K)
-    n = state.num_views
+    n, rho = state.num_views, state.rho
     squares = 0.0
     matched = 0.0
     val = 0.0
@@ -382,14 +376,14 @@ def _as_reg_list(regs, n: int) -> list[rg.Regularizer]:
     return regs
 
 
-def run_subsolver(state: SolverState, rho: float, eps_r: float,
-                  max_sweeps: int, regs=None,
-                  safety: float = SolverConfig.safety,
+def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
+                  regs=None, safety: float = SolverConfig.safety,
                   start: float | None = None) -> int:
-    """Inexact alternating sweeps at fixed duals and penalty.
+    """Inexact alternating sweeps at fixed duals and penalty ``state.rho``.
 
-    Each sweep updates every Q_i (all G frozen), then every G_i from the
-    fresh caches.  Sweeping stops when the largest entrywise move of any
+    Each sweep takes a prox-gradient step on every Q_i (all G frozen),
+    sized once per call by :func:`step_size`, then updates every G_i from
+    the fresh caches.  Sweeping stops when the largest entrywise move of any
     block against the one it replaced, kept in ``state.moved``, drops to
     ``eps_r`` or after ``max_sweeps``.  Returns the number of sweeps.
 
@@ -402,25 +396,26 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
         raise ValueError("eps_r must be > 0")
     n = state.num_views
     regs = _as_reg_list(regs, n)
+    alphas = [step_size(i, state, safety) for i in range(n)]
     # each pass reads one total, formed while its blocks are frozen; the
     # objective reads both, and the G total carries into the next sweep
     sum_g = _total(state.g)
     prev = start if start is not None else lagrangian_value(
-        state, rho, regs, sum_g=sum_g)
+        state, regs, sum_g=sum_g)
     for sweep in range(1, max_sweeps + 1):
         # the updates rebind Q_i and G_i, so the old block is still at hand
         moved = 0.0
         for i in range(n):
             old = state.q[i]
-            new = update_q(i, state, rho, regs[i], safety, sum_g)
+            new = update_q(i, state, regs[i], alphas[i], sum_g)
             moved = max(moved, float(np.max(np.abs(new - old))))
         sum_p = _total(state.p)
         for i in range(n):
             old = state.g[i]
-            new = update_g(i, state, rho, sum_p)
+            new = update_g(i, state, sum_p)
             moved = max(moved, float(np.max(np.abs(new - old))))
         sum_g = _total(state.g)
-        cur = lagrangian_value(state, rho, regs, sum_p, sum_g)
+        cur = lagrangian_value(state, regs, sum_p, sum_g)
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
             raise StepSizeError(
                 f"step size violation: sub-solver objective rose "
@@ -432,32 +427,9 @@ def run_subsolver(state: SolverState, rho: float, eps_r: float,
     return max_sweeps
 
 
-def _narrow(state: SolverState) -> list[np.ndarray]:
-    """Narrow every view of ``state`` to the columns whose Q_i row can move.
-
-    A column of X_i that stores no entry gives a zero row in X_i^T(.),
-    so a zero row of Q_i there stays zero through the gradient step, and
-    every prox maps a zero row to zero: the row never moves and never
-    enters a product.  Columns that store an entry (explicit zeros
-    count) or start with a nonzero row are kept; a view that keeps them
-    all still costs a copy of its column indices.  Returns the kept
-    column indices per view.
-    """
-    kept = []
-    for i, view in enumerate(state.views):
-        keep = np.zeros(view.shape[1], dtype=bool)
-        keep[view.raw.indices] = True
-        keep |= np.any(state.q[i] != 0.0, axis=1)
-        cols = np.flatnonzero(keep)
-        state.views[i] = narrow_columns(view, cols)
-        state.q[i] = state.q[i][cols]
-        kept.append(cols)
-    return kept
-
-
 def _widen(state: SolverState, views: list[SparseView],
            kept: list[np.ndarray]) -> None:
-    """Undo :func:`_narrow`: zero rows back into every Q_i."""
+    """Undo :func:`run_pdd`'s narrowing: zero rows back into every Q_i."""
     for i, cols in enumerate(kept):
         full = np.zeros((views[i].shape[1], state.k))
         full[cols] = state.q[i]
@@ -504,7 +476,19 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     # on the full views: Lanczos on a narrowed view runs on a smaller (or
     # the other) Gram and moves sigma^2, and so every iterate, by round-off
     state.ensure_sigma(config.seed)
-    kept = _narrow(state)
+    # a column that stores no entry (explicit zeros count) gives a zero
+    # row in X_i^T(.), and every prox maps a zero row to zero, so a Q_i
+    # row there that starts at zero never moves or enters a product
+    kept = []
+    for i, view in enumerate(views):
+        keep = np.zeros(view.shape[1], dtype=bool)
+        keep[view.raw.indices] = True
+        if init is not None:  # a random start's Q_i rows are all zero
+            keep |= np.any(state.q[i] != 0.0, axis=1)
+        cols = np.flatnonzero(keep)
+        state.views[i] = narrow_columns(view, cols)
+        state.q[i] = state.q[i][cols]
+        kept.append(cols)
 
     l_rows = views[0].shape[0]
     tol_feas = (config.tol_feas if config.tol_feas is not None
@@ -515,16 +499,15 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
         # nothing moves before the next sub-solver, whose entry value it is
         seconds = float(r) if config.virtual_clock \
             else time.perf_counter() - start
-        value = lagrangian_value(state, state.rho, regs)
+        value = lagrangian_value(state, regs)
         trace.append(TraceRow(r, seconds, state.rho, residual, value,
                               2.0 * pairwise_inner_sum(state.p)))
         return value
 
     value = record(0, primal_residual(state))
     for r in range(1, config.outer_max + 1):
-        sweeps = run_subsolver(state, state.rho, config.eps(r),
-                               config.sub_max_sweeps, regs, config.safety,
-                               value)
+        sweeps = run_subsolver(state, config.eps(r), config.sub_max_sweeps,
+                               regs, config.safety, value)
         # the steps below move no Q, P or G: residual and move stay current
         res = primal_residual(state)
         dual_or_penalty_step(state, res, config.eta(r), config.c)

@@ -52,6 +52,8 @@ class SynthSpec:
         # written so that NaN fails
         if not 0 <= self.noise_var < np.inf:
             raise ValueError("noise_var must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,13 @@ def total_correlation(views, factors) -> tuple[float, float]:
 
     Raw value is sum over ordered pairs of trace(Q_i^T X_i^T X_j Q_j);
     the percent normalizes by K * I * (I-1), the value reached when all
-    projected views coincide with a shared orthonormal latent matrix.
+    projected views coincide with a shared orthonormal latent matrix,
+    so at least two views are needed.
     """
     products = [spmm_right(v, q) for v, q in zip(views, factors)]
     n = len(products)
+    if n < 2:
+        raise ValueError(f"total correlation needs >= 2 views, got {n}")
     k = np.asarray(factors[0]).shape[1]
     raw = 2.0 * pairwise_inner_sum(products)
     ideal = k * n * (n - 1)

@@ -117,11 +117,11 @@ def test_criterion_4_procrustes_optimality():
     for _ in range(100):
         agg = rng.standard_normal((12, 3)) * rng.uniform(0.5, 3.0)
         state = SolverState(views, [np.zeros((12, 3))] * 2,
-                            [np.eye(12, 3)] * 2, [np.zeros((12, 3))] * 2)
+                            [np.eye(12, 3)] * 2, [np.zeros((12, 3))] * 2,
+                            rho=2.0)
         state.p = [np.zeros((12, 3)), np.zeros((12, 3))]
         state.y[0] = agg.copy()
-        rho = 2.0
-        g = update_g(0, state, rho)
+        g = update_g(0, state, sum(state.p))
         # on the orthonormal set ||G||^2 is constant, so the subproblem
         # objective is a constant minus trace(G^T aggregate)
         ours = -float(np.trace(g.T @ agg))
@@ -145,9 +145,9 @@ def test_criterion_5_gradient_check():
         k = int(rng.integers(1, 4))
         state = random_state(rng, n, l_rows, k, seed=trial)
         dense = [materialize(v) for v in state.views]
-        rho = float(rng.uniform(0.5, 4.0))
+        rho = state.rho = float(rng.uniform(0.5, 4.0))
         i = int(rng.integers(0, n))
-        grad = grad_q(i, state, rho)
+        grad = grad_q(i, state, sum(state.g))
         fun = lambda q: smooth_block_objective(
             i, dense, state.q, state.g, state.y, rho, q)
         ref = fd_gradient(fun, state.q[i], h=1e-6)
@@ -163,11 +163,11 @@ def test_criterion_6_lagrangian_descent():
         n = int(rng.integers(2, 5))
         state = random_state(rng, n, int(rng.integers(8, 24)),
                              int(rng.integers(1, 4)), seed=trial)
-        rho = 2.0
-        prev = lagrangian_value(state, rho, None)
+        state.rho = 2.0
+        prev = lagrangian_value(state, None)
         for _ in range(40):
-            run_subsolver(state, rho, eps_r=1e-300, max_sweeps=1)
-            cur = lagrangian_value(state, rho, None)
+            run_subsolver(state, eps_r=1e-300, max_sweeps=1)
+            cur = lagrangian_value(state, None)
             worst = max(worst, cur - prev - 1e-9 * max(1.0, abs(prev)))
             prev = cur
     report(6, worst <= 0.0,

@@ -286,7 +286,7 @@ class TestSpectralNorm:
         state.ensure_sigma(seed=0)
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
-            step_size(0, state, 1.0)
+            step_size(0, state)
 
     def test_explicit_zeros_skip_lanczos(self, monkeypatch):
         def no_lanczos(*args, **kwargs):
@@ -308,7 +308,7 @@ class TestSpectralNorm:
         state.ensure_sigma(seed=0)
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
-            step_size(0, state, 1.0)
+            step_size(0, state)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -83,6 +83,13 @@ class TestHashFeaturize:
         with pytest.raises(ValueError):
             HashSpec(bits=31)
 
+    def test_seed_validated(self):
+        # the seed is the eight-byte hash key, so it must fit in 64 bits
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must be in"):
+                HashSpec(seed=seed)
+        assert HashSpec(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
 
 class TestHashCorpus:
     def test_shape_and_rows(self):

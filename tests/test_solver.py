@@ -53,13 +53,19 @@ class TestValidateDimensions:
         validate_dimensions(views, 5)
 
     def test_too_few_rows(self):
-        views = [SparseView(np.ones((2, 50)))]
+        views = [SparseView(np.ones((2, 50)))] * 2
         with pytest.raises(RegularityError, match="row count"):
             validate_dimensions(views, 5)
 
     def test_too_few_features(self):
         views = [SparseView(np.ones((100, 1))), SparseView(np.ones((100, 1)))]
         with pytest.raises(RegularityError, match="feature count"):
+            validate_dimensions(views, 5)
+
+    @pytest.mark.parametrize("n_views", [0, 1])
+    def test_fewer_than_two_views(self, n_views):
+        views = [SparseView(np.ones((100, 50)))] * n_views
+        with pytest.raises(RegularityError, match="need >= 2"):
             validate_dimensions(views, 5)
 
     def test_row_mismatch(self):
@@ -73,12 +79,14 @@ class TestGradQ:
         eye = np.eye(2)
         views = [SparseView(eye), SparseView(eye)]
         state = SolverState(views, [np.zeros((2, 2))] * 2, [eye.copy()] * 2,
-                            [np.zeros((2, 2))] * 2)
-        np.testing.assert_array_equal(grad_q(0, state, 1.0), -2.0 * eye)
+                            [np.zeros((2, 2))] * 2, rho=1.0)
+        np.testing.assert_array_equal(grad_q(0, state, sum(state.g)),
+                                      -2.0 * eye)
 
     def test_stationary_feasible_point(self):
         state = aligned_state()
-        np.testing.assert_allclose(grad_q(0, state, 2.0), 0.0, atol=1e-14)
+        np.testing.assert_allclose(grad_q(0, state, sum(state.g)), 0.0,
+                                   atol=1e-14)
 
     def test_matches_finite_differences(self):
         worst = 0.0
@@ -89,9 +97,9 @@ class TestGradQ:
             k = int(rng.integers(1, 4))
             state = random_state(rng, n, l_rows, k, seed=trial)
             dense = [materialize(v) for v in state.views]
-            rho = float(rng.uniform(0.5, 4.0))
+            rho = state.rho = float(rng.uniform(0.5, 4.0))
             i = int(rng.integers(0, n))
-            grad = grad_q(i, state, rho)
+            grad = grad_q(i, state, sum(state.g))
             fun = lambda q: smooth_block_objective(
                 i, dense, state.q, state.g, state.y, rho, q)
             ref = fd_gradient(fun, state.q[i], h=1e-6)
@@ -101,36 +109,39 @@ class TestGradQ:
 
 
 class TestStepSize:
-    def _state_with_sigma(self, sigmas):
+    def _state_with_sigma(self, sigmas, rho=1.0):
         rng = np.random.default_rng(0)
         views = random_views(rng, len(sigmas), 8, 2)
         state = init_random(views, 2, 0)
         state.sigma_sq = list(sigmas)
+        state.rho = rho
         return state
 
     def test_direct_formula(self):
         state = self._state_with_sigma([1.0, 1.0])
-        assert step_size(0, state, rho=1.0) == pytest.approx(0.45)
+        assert step_size(0, state) == pytest.approx(0.45)
 
     def test_direct_formula_three_views(self):
-        state = self._state_with_sigma([4.0, 4.0, 4.0])
-        assert step_size(0, state, rho=2.0) == pytest.approx(0.05625)
+        state = self._state_with_sigma([4.0, 4.0, 4.0], rho=2.0)
+        assert step_size(0, state) == pytest.approx(0.05625)
 
     def test_decreasing_in_rho(self):
-        state = self._state_with_sigma([2.0, 2.0])
-        assert step_size(0, state, 2.0) < step_size(0, state, 1.0)
+        state = self._state_with_sigma([2.0, 2.0], rho=2.0)
+        larger_rho = step_size(0, state)
+        state.rho = 1.0
+        assert larger_rho < step_size(0, state)
 
     def test_empty_view(self):
         state = self._state_with_sigma([0.0, 1.0])
         with pytest.raises(EmptyViewError, match="empty view"):
-            step_size(0, state, 1.0)
+            step_size(0, state)
 
 
 class TestUpdateQ:
     def test_zero_gradient_fixed_point(self):
         rng = np.random.default_rng(0)
         state = random_state(rng)
-        rho = 2.0
+        rho = state.rho = 2.0
         # choose the dual so the gradient aggregate cancels bitwise; it is
         # built in grad_q's order: (I-1+rho) P_0 - sum G + (1-rho) G_0
         n = state.num_views
@@ -141,25 +152,26 @@ class TestUpdateQ:
         agg -= sum_g
         agg += (1.0 - rho) * state.g[0]
         state.y[0] = -agg
-        np.testing.assert_array_equal(grad_q(0, state, rho), 0.0)
+        np.testing.assert_array_equal(grad_q(0, state, sum_g), 0.0)
         before = state.q[0].copy()
-        update_q(0, state, rho=rho, reg=rg.NONE)
+        update_q(0, state, rg.NONE, step_size(0, state), sum_g)
         np.testing.assert_array_equal(state.q[0], before)
 
     def test_huge_lambda_zeroes_factor(self):
         rng = np.random.default_rng(1)
         state = random_state(rng)
-        update_q(0, state, rho=2.0, reg=rg.Regularizer("l1", lam=1e12))
+        update_q(0, state, rg.Regularizer("l1", lam=1e12),
+                 step_size(0, state), sum(state.g))
         np.testing.assert_array_equal(state.q[0], np.zeros_like(state.q[0]))
         np.testing.assert_array_equal(state.p[0], np.zeros_like(state.p[0]))
 
     def test_plain_gradient_step_exact(self):
         rng = np.random.default_rng(2)
         state = random_state(rng)
-        rho = 1.7
-        alpha = step_size(0, state, rho)
-        expected = state.q[0] - alpha * grad_q(0, state, rho)
-        update_q(0, state, rho, rg.NONE)
+        state.rho = 1.7
+        alpha, sum_g = step_size(0, state), sum(state.g)
+        expected = state.q[0] - alpha * grad_q(0, state, sum_g)
+        update_q(0, state, rg.NONE, alpha, sum_g)
         np.testing.assert_array_equal(state.q[0], expected)
 
     def test_nonfinite_dual_rejected(self):
@@ -167,12 +179,12 @@ class TestUpdateQ:
         state = random_state(rng)
         state.y[0][1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            update_q(0, state, 2.0, rg.NONE)
+            update_q(0, state, rg.NONE, step_size(0, state), sum(state.g))
 
     def test_refreshes_product_cache(self):
         rng = np.random.default_rng(3)
         state = random_state(rng)
-        update_q(1, state, 2.0, rg.NONE)
+        update_q(1, state, rg.NONE, step_size(1, state), sum(state.g))
         np.testing.assert_allclose(
             state.p[1], spmm_right(state.views[1], state.q[1]), atol=1e-14)
 
@@ -181,7 +193,8 @@ class TestUpdateG:
     def test_aligned_point_is_fixed(self):
         state = aligned_state()
         g0 = state.g[0].copy()
-        update_g(0, state, rho=1.0)
+        state.rho = 1.0
+        update_g(0, state, sum(state.p))
         np.testing.assert_allclose(state.g[0], g0, atol=1e-10)
 
     def test_diagonal_aggregate(self):
@@ -189,18 +202,18 @@ class TestUpdateG:
         views = [SparseView(rng.standard_normal((3, 4))) for _ in range(2)]
         state = SolverState(views, [np.zeros((4, 2))] * 2,
                             [random_stiefel(rng, 3, 2, 1)[0]] * 2,
-                            [np.zeros((3, 2))] * 2)
+                            [np.zeros((3, 2))] * 2, rho=1.0)
         state.p = [np.zeros((3, 2)), np.zeros((3, 2))]
         state.y[0] = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-        update_g(0, state, rho=1.0)
+        update_g(0, state, sum(state.p))
         np.testing.assert_allclose(
             state.g[0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
     def test_beats_random_stiefel_candidates(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, n_views=3, l_rows=9, k=2)
-        rho = 2.0
-        update_g(1, state, rho)
+        rho = state.rho = 2.0
+        update_g(1, state, sum(state.p))
         ours = g_subproblem_objective(1, state.p, state.y, rho, state.g[1])
         candidates = random_stiefel(rng, 9, 2, 2000)
         for cand in candidates:
@@ -210,29 +223,12 @@ class TestUpdateG:
     def test_orthonormal_after_update(self):
         rng = np.random.default_rng(6)
         state = random_state(rng)
-        update_g(0, state, 2.0)
+        update_g(0, state, sum(state.p))
         k = state.k
         assert np.linalg.norm(state.g[0].T @ state.g[0] - np.eye(k)) <= 1e-8
         # unit columns: the latent block never contains a zero column
         np.testing.assert_allclose(
             np.linalg.norm(state.g[0], axis=0), 1.0, atol=1e-8)
-
-
-class TestPassTotals:
-    def test_given_totals_match_formed_ones(self):
-        rng = np.random.default_rng(29)
-        state = random_state(rng, n_views=4, l_rows=12, k=3)
-        rho = 1.3
-        sum_g = state.g[0] + state.g[1] + state.g[2] + state.g[3]
-        sum_p = state.p[0] + state.p[1] + state.p[2] + state.p[3]
-        for i in range(state.num_views):
-            np.testing.assert_allclose(grad_q(i, state, rho, sum_g),
-                                       grad_q(i, state, rho),
-                                       rtol=0, atol=1e-12)
-        for i in range(state.num_views):
-            with_total = update_g(i, state.copy(), rho, sum_p)
-            np.testing.assert_allclose(with_total, update_g(i, state, rho),
-                                       rtol=0, atol=1e-12)
 
 
 class TestPrimalResidual:
@@ -292,7 +288,7 @@ class TestRunSubsolver:
     def test_fixed_point_terminates_first_sweep(self):
         state = aligned_state()
         q_before = [q.copy() for q in state.q]
-        sweeps = run_subsolver(state, rho=2.0, eps_r=1e-12, max_sweeps=10)
+        sweeps = run_subsolver(state, eps_r=1e-12, max_sweeps=10)
         assert sweeps == 1
         for q_old, q_new in zip(q_before, state.q):
             np.testing.assert_allclose(q_old, q_new, atol=1e-10)
@@ -300,7 +296,7 @@ class TestRunSubsolver:
     def test_sweep_cap_respected(self):
         rng = np.random.default_rng(9)
         state = random_state(rng)
-        sweeps = run_subsolver(state, rho=2.0, eps_r=1e-300, max_sweeps=5)
+        sweeps = run_subsolver(state, eps_r=1e-300, max_sweeps=5)
         assert sweeps == 5
 
     @pytest.mark.parametrize("regs", [
@@ -309,11 +305,10 @@ class TestRunSubsolver:
     def test_lagrangian_monotone_over_sweeps(self, regs):
         rng = np.random.default_rng(10)
         state = random_state(rng)
-        rho = 2.0
-        prev = lagrangian_value(state, rho, regs)
+        prev = lagrangian_value(state, regs)
         for _ in range(50):
-            run_subsolver(state, rho, eps_r=1e-300, max_sweeps=1, regs=regs)
-            cur = lagrangian_value(state, rho, regs)
+            run_subsolver(state, eps_r=1e-300, max_sweeps=1, regs=regs)
+            cur = lagrangian_value(state, regs)
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
             prev = cur
 
@@ -326,7 +321,7 @@ class TestRunSubsolver:
             state = init_random(state.views, state.k, seed=1)
             state.ensure_sigma(0)
         before = state.copy()
-        run_subsolver(state, rho=2.0, eps_r=1e-300, max_sweeps=1)
+        run_subsolver(state, eps_r=1e-300, max_sweeps=1)
         blocks = zip(state.q + state.g, before.q + before.g)
         assert state.moved == max(float(np.max(np.abs(new - old)))
                                   for new, old in blocks)
@@ -336,8 +331,7 @@ class TestRunSubsolver:
         rng = np.random.default_rng(11)
         state = random_state(rng)
         with pytest.raises(StepSizeError, match="step size violation"):
-            run_subsolver(state, rho=2.0, eps_r=1e-300, max_sweeps=10,
-                          safety=100.0)
+            run_subsolver(state, eps_r=1e-300, max_sweeps=10, safety=100.0)
 
 
 class TestStateCopy:
@@ -716,7 +710,10 @@ class TestRunAdmm:
 class TestLagrangianValue:
     def test_feasible_aligned_is_zero(self):
         state = aligned_state()
-        assert lagrangian_value(state, 2.0, None) == pytest.approx(0.0)
+        # a new state's rho is the config default, never the 0 that y / rho
+        # would divide by
+        assert state.rho == SolverConfig.rho0
+        assert lagrangian_value(state, None) == pytest.approx(0.0)
 
     def test_single_nonzero_coupling(self):
         # slacks zero, X1 Q1 - G2 = ones; the mirror term G1 - X2 Q2 is
@@ -727,7 +724,7 @@ class TestLagrangianValue:
         state = SolverState(views, [np.zeros((3, 2))] * 2,
                             [a, a - 1.0], [np.zeros((2, 2))] * 2)
         state.p = [a.copy(), a.copy() - 1.0]
-        assert lagrangian_value(state, 2.0, None) == pytest.approx(4.0)
+        assert lagrangian_value(state, None) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("n_views", [2, 3, 10])
     def test_matches_scalar_oracle(self, n_views):
@@ -747,7 +744,7 @@ class TestLagrangianValue:
 
         ref = lagrangian_scalar(state.p, state.g, state.q, state.y, 2.0,
                                 penalty)
-        assert abs(lagrangian_value(state, 2.0, regs) - ref) \
+        assert abs(lagrangian_value(state, regs) - ref) \
             <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -801,7 +798,7 @@ class TestSolverConfig:
                dict(safety=-1.0), dict(safety=nan), dict(safety=inf),
                dict(eta0=0.0), dict(eta0=nan), dict(tol_feas=-1.0),
                dict(tol_feas=nan), dict(tol_change=-5.0),
-               dict(tol_change=nan),
+               dict(tol_change=nan), dict(seed=-1),
                dict(sub_max_sweeps=0), dict(outer_max=0)]
         for kwargs in bad:
             with pytest.raises(ValueError):

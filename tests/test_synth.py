@@ -22,6 +22,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(rows=0, features=5, views=2)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SynthSpec(rows=10, features=5, views=2, seed=-1)
+
     @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
     def test_bad_noise_var(self, value):
         with pytest.raises(ValueError, match="noise_var must be finite"):
@@ -128,6 +132,11 @@ class TestTotalCorrelation:
         raw, percent = total_correlation(views, factors)
         assert raw == 0.0
         assert percent == 0.0
+
+    def test_one_view_rejected(self):
+        # the ideal K * I * (I-1) is zero for a single view
+        with pytest.raises(ValueError, match="needs >= 2 views"):
+            total_correlation([SparseView(np.eye(4))], [np.eye(4, 2)])
 
     def test_percent_bounded_at_feasible_points(self):
         # any set of orthonormal latents caps the sum of pairwise traces
