@@ -61,22 +61,15 @@ def _keys(prefix: str, cls) -> list[tuple[str, dataclasses.Field]]:
 
 
 def _field_keys(prefix: str, cls) -> dict[str, tuple]:
-    """One key per dataclass field, cast by its annotated type.
-
-    ``X | None`` fields cast as X; the field's default is the key's.
-    """
+    """One key per dataclass field, cast by its annotated type; the
+    field's default is the key's."""
     hints = typing.get_type_hints(cls)
-    keys = {}
-    for key, f in _keys(prefix, cls):
-        hint = hints[f.name]
-        caster = next((t for t in typing.get_args(hint)
-                       if t is not type(None)), hint)
-        keys[key] = (_bool if caster is bool else caster, f.default)
-    return keys
+    return {key: (_bool if hints[f.name] is bool else hints[f.name],
+                  f.default)
+            for key, f in _keys(prefix, cls)}
 
 
-# key -> (caster, default); a MISSING default means the key must be
-# given, a None default means unset
+# key -> (caster, default); a MISSING default means the key must be given
 _BASE_KEYS = {
     **_field_keys("solver", SolverConfig),
     **_field_keys("reg", Regularizer),
@@ -126,7 +119,7 @@ class RunConfig:
         for key, (_, default) in _BASE_KEYS.items():
             if key.startswith(prefixes):
                 value = self.values.get(key, default)
-                if value is not None and value is not dataclasses.MISSING:
+                if value is not dataclasses.MISSING:
                     out[key] = value
         for key, val in self.values.items():
             if _PER_VIEW_REG.match(key) and key.startswith(prefixes):
@@ -200,7 +193,12 @@ def _view_paths(cfg: RunConfig) -> list[Path]:
             m = re.fullmatch(r"view_(\d+)\.mtx", p.name)
             if m:
                 found[int(m.group(1))] = p
-        paths = [found[i] for i in sorted(found)]
+        # view_0 ... view_{n-1}: a gap would renumber the later views
+        missing = sorted(set(range(len(found))) - set(found))
+        if missing:
+            raise InputError(f"view file not found: "
+                             f"{data_dir / f'view_{missing[0]}.mtx'}")
+        paths = [found[i] for i in range(len(found))]
     else:
         raise ConfigError("need io.views or io.data_dir")
     if not paths:

@@ -31,6 +31,20 @@ logger = logging.getLogger(__name__)
 TRACE_COLUMNS = ("iter", "seconds", "rho", "primal_residual", "lagrangian",
                  "total_correlation")
 
+# Fixed PDD constants, read at call time.  RHO0 is the starting penalty
+# weight and C the factor a failed feasibility test divides it by; the
+# sub-solver accuracy schedule is eps(r) = EPS0 * EPS_DECAY**r; SAFETY
+# scales each inverse-Lipschitz step.  A solve stops early once the slack
+# residual is at most TOL_FEAS * L * K and a one-sweep sub-solve moved no
+# Q_i or G_i entry by more than TOL_CHANGE.
+RHO0 = 2.0
+C = 0.9
+EPS0 = 1e-2
+EPS_DECAY = 0.9
+SAFETY = 0.9
+TOL_FEAS = 1e-6
+TOL_CHANGE = 1e-6
+
 
 class RegularityError(ValueError):
     """Problem dimensions too small for the constraint system to be regular."""
@@ -49,25 +63,15 @@ class SolverConfig:
     """Knobs of the solver.
 
     ``eta0`` sets the feasibility schedule eta(r) = eta0 / r that gates
-    dual updates; ``eps0``/``eps_decay`` set the sub-solver accuracy
-    schedule eps(r) = eps0 * eps_decay**r.  The solve stops when the
-    slack residual is at most ``tol_feas`` (None: 1e-6 * L * K) and a
-    one-sweep sub-solve moved no Q_i or G_i entry by more than
-    ``tol_change``.  ``sub_max_sweeps = 1`` with ``eta0 = inf`` gives
-    the fixed-penalty ADMM baseline.
+    dual updates.  ``sub_max_sweeps = 1`` with ``eta0 = inf`` gives the
+    fixed-penalty ADMM baseline.  The other constants of the driver are
+    the module's ``RHO0`` ... ``TOL_CHANGE``.
     """
 
     k: int
-    rho0: float = 2.0
-    c: float = 0.9
     eta0: float = 100.0
-    eps0: float = 1e-2
-    eps_decay: float = 0.9
     sub_max_sweeps: int = 5
     outer_max: int = 500
-    tol_feas: float | None = None
-    tol_change: float = 1e-6
-    safety: float = 0.9
     seed: int = 0
     virtual_clock: bool = False
 
@@ -77,29 +81,17 @@ class SolverConfig:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("rho0", "eps0", "safety"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
         if not self.eta0 > 0:
             raise ValueError("eta0 must be > 0")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("c must be in (0, 1)")
-        if not 0.0 < self.eps_decay < 1.0:
-            raise ValueError("eps_decay must be in (0, 1)")
         if min(self.sub_max_sweeps, self.outer_max) < 1:
             raise ValueError("counts must be >= 1")
-        if self.tol_feas is not None and not self.tol_feas >= 0:
-            raise ValueError("tol_feas must be >= 0")
-        if not self.tol_change >= 0:
-            raise ValueError("tol_change must be >= 0")
 
     def eta(self, r: int) -> float:
         return self.eta0 / max(r, 1)
 
     def eps(self, r: int) -> float:
         # floored so a long solve never asks the sub-solver for eps = 0
-        return max(self.eps0 * self.eps_decay ** r, np.finfo(float).tiny)
+        return max(EPS0 * EPS_DECAY ** r, np.finfo(float).tiny)
 
 
 @dataclass
@@ -166,13 +158,13 @@ class SolverState:
     """
 
     def __init__(self, views: Sequence[SparseView], q, g, y,
-                 rho: float = SolverConfig.rho0):
+                 rho: float | None = None):
         self.views = list(views)
         self.q = [np.array(a, dtype=np.float64) for a in q]
         self.g = [np.array(a, dtype=np.float64) for a in g]
         self.y = [np.array(a, dtype=np.float64) for a in y]
         self.p = [spmm_right(v, qi) for v, qi in zip(self.views, self.q)]
-        self.rho = float(rho)
+        self.rho = RHO0 if rho is None else float(rho)
         self.sigma_sq: list[float] | None = None
         self.moved = np.inf  # largest move of any Q_i or G_i in a sweep
 
@@ -258,19 +250,18 @@ def grad_q(i: int, state: SolverState, sum_g: np.ndarray) -> np.ndarray:
     return spmm_left_t(state.views[i], agg)
 
 
-def step_size(i: int, state: SolverState,
-              safety: float = SolverConfig.safety) -> float:
-    """Inverse Lipschitz bound for the block-i gradient, times a safety factor.
+def step_size(i: int, state: SolverState) -> float:
+    """Inverse Lipschitz bound for the block-i gradient, times ``SAFETY``.
 
     The smooth block Hessian is (I-1+rho) X_i^T X_i at ``state.rho``, so
-    alpha = safety / ((I-1+rho) * sigma_max^2(X_i)).
+    alpha = SAFETY / ((I-1+rho) * sigma_max^2(X_i)).
     """
     if state.sigma_sq is None:
         raise RuntimeError("spectral norms not cached; call ensure_sigma")
     sigma = state.sigma_sq[i]
     if sigma <= 0.0:
         raise EmptyViewError("empty view")
-    return safety / ((state.num_views - 1 + state.rho) * sigma)
+    return SAFETY / ((state.num_views - 1 + state.rho) * sigma)
 
 
 def update_q(i: int, state: SolverState, reg: rg.Regularizer, alpha: float,
@@ -348,18 +339,18 @@ def lagrangian_value(state: SolverState, regs,
     return val + 0.5 * (n - 1) * squares - cross
 
 
-def dual_or_penalty_step(state: SolverState, residual: float, eta_r: float,
-                         c: float) -> bool:
+def dual_or_penalty_step(state: SolverState, residual: float,
+                         eta_r: float) -> bool:
     """Dual ascent when the slack residual meets the schedule, else grow rho.
 
     Returns True when the duals moved.  On failure the penalty weight is
-    divided by c (an increase, since 0 < c < 1) and the duals stay put.
+    divided by ``C`` (an increase, since 0 < C < 1) and the duals stay put.
     """
     if residual <= eta_r:
         for i in range(state.num_views):
             state.y[i] += state.rho * (state.p[i] - state.g[i])
         return True
-    state.rho = state.rho / c
+    state.rho = state.rho / C
     logger.debug("penalty raised to %.6g (residual %.3g > %.3g)",
                  state.rho, residual, eta_r)
     return False
@@ -377,8 +368,7 @@ def _as_reg_list(regs, n: int) -> list[rg.Regularizer]:
 
 
 def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
-                  regs=None, safety: float = SolverConfig.safety,
-                  start: float | None = None) -> int:
+                  regs=None, start: float | None = None) -> int:
     """Inexact alternating sweeps at fixed duals and penalty ``state.rho``.
 
     Each sweep takes a prox-gradient step on every Q_i (all G frozen),
@@ -396,7 +386,7 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
         raise ValueError("eps_r must be > 0")
     n = state.num_views
     regs = _as_reg_list(regs, n)
-    alphas = [step_size(i, state, safety) for i in range(n)]
+    alphas = [step_size(i, state) for i in range(n)]
     # each pass reads one total, formed while its blocks are frozen; the
     # objective reads both, and the G total carries into the next sweep
     sum_g = _total(state.g)
@@ -445,8 +435,8 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     ``config.sub_max_sweeps`` sweeps to accuracy ``config.eps(r)``, then
     takes a dual step when the slack residual is within
     ``config.eta(r)`` and grows the penalty otherwise.  It stops early
-    once the residual meets ``tol_feas`` and a one-sweep sub-solve moved
-    no entry by more than ``tol_change``.
+    once the residual is at most ``TOL_FEAS * L * K`` and a one-sweep
+    sub-solve moved no entry by more than ``TOL_CHANGE``.
 
     Every view is narrowed to its columns that store an entry or start
     with a nonzero row of Q_i; the other rows stay exactly zero, so one
@@ -472,7 +462,7 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     if len(state.views) != n or any(
             a is not b for a, b in zip(state.views, views)):
         raise ValueError("initial state was built on other views")
-    state.rho = config.rho0
+    state.rho = RHO0
     # on the full views: Lanczos on a narrowed view runs on a smaller (or
     # the other) Gram and moves sigma^2, and so every iterate, by round-off
     state.ensure_sigma(config.seed)
@@ -490,9 +480,7 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
         state.q[i] = state.q[i][cols]
         kept.append(cols)
 
-    l_rows = views[0].shape[0]
-    tol_feas = (config.tol_feas if config.tol_feas is not None
-                else 1e-6 * l_rows * config.k)
+    tol_feas = TOL_FEAS * views[0].shape[0] * config.k
     trace = Trace(config.k * n * (n - 1))
 
     def record(r: int, residual: float) -> float:
@@ -507,13 +495,12 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     value = record(0, primal_residual(state))
     for r in range(1, config.outer_max + 1):
         sweeps = run_subsolver(state, config.eps(r), config.sub_max_sweeps,
-                               regs, config.safety, value)
+                               regs, value)
         # the steps below move no Q, P or G: residual and move stay current
         res = primal_residual(state)
-        dual_or_penalty_step(state, res, config.eta(r), config.c)
+        dual_or_penalty_step(state, res, config.eta(r))
         value = record(r, res)
-        if res <= tol_feas and sweeps == 1 \
-                and state.moved <= config.tol_change:
+        if res <= tol_feas and sweeps == 1 and state.moved <= TOL_CHANGE:
             logger.info("converged at outer iteration %d "
                         "(residual %.3g, move %.3g)", r, res, state.moved)
             break

@@ -43,8 +43,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.rows, self.features, self.views, self.components) < 1:
+        if min(self.rows, self.features, self.components) < 1:
             raise ValueError("dimensions must be positive")
+        # solve and metrics correlate view pairs
+        if self.views < 2:
+            raise ValueError("views must be >= 2")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         if self.outliers < 0:

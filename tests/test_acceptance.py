@@ -38,8 +38,8 @@ def benchmark_run():
     spec = SynthSpec(rows=2000, features=500, views=3, components=5,
                      density=2e-2, seed=42)
     views = gen_shared_factor(spec)
-    cfg = SolverConfig(k=5, rho0=2.0, c=0.9, eta0=100.0, sub_max_sweeps=5,
-                       outer_max=300, seed=7)
+    cfg = SolverConfig(k=5, eta0=100.0, sub_max_sweeps=5, outer_max=300,
+                       seed=7)
     start = time.perf_counter()
     state, trace = run_pdd(views, cfg)
     elapsed = time.perf_counter() - start

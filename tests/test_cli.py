@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import shutil
 import subprocess
 import sys
@@ -9,13 +10,20 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mvcca.cli import RunConfig, fmt_value, main
+from mvcca.cli import _BASE_KEYS, RunConfig, fmt_value, main, parse_config
 from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.retrieval import HashSpec, hash_corpus
 from mvcca.solver import SolverConfig, Trace
 from mvcca.synth import SynthSpec
 from test_linalg import MALFORMED_MTX
+
+
+README = (Path(__file__).resolve().parents[1]
+          / "README.md").read_text(encoding="utf-8")
+# every `cat > <name>.cfg <<'EOF'` heredoc in README, by file name
+README_CONFIGS = dict(re.findall(r"cat > (\S+\.cfg) <<'EOF'\n(.*?)^EOF$",
+                                 README, re.M | re.S))
 
 
 def read_echo(path):
@@ -139,14 +147,14 @@ class TestSolveCommand:
         assert code == 3
         assert "regularity" in err
 
-    def test_step_size_violation_exit_code(self, tmp_path, synth_dir):
+    def test_step_size_violation_exit_code(self, tmp_path, synth_dir, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr("mvcca.solver.SAFETY", 200.0)
         cfg = write_cfg(tmp_path / "solve.cfg",
-                        SOLVE_CFG.format(data_dir=synth_dir)
-                        + "solver.safety = 200.0\n")
-        code, _, err = run_cli("solve", "--config", cfg,
-                               "--out", str(tmp_path / "run"))
-        assert code == 3
-        assert "step size violation" in err
+                        SOLVE_CFG.format(data_dir=synth_dir))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "step size violation" in capsys.readouterr().err
 
     def test_arpack_failure_exit_code(self, tmp_path, synth_dir, capsys,
                                       monkeypatch):
@@ -178,8 +186,8 @@ class TestSolveCommand:
         run_dir = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(run_dir)]) == 0
         echoed = (run_dir / "resolved.cfg").read_text().splitlines()
-        assert "solver.rho0 = 2" in echoed
-        assert "solver.c = 0.90000000000000002" in echoed
+        assert "solver.eta0 = 100" in echoed
+        assert "solver.sub_max_sweeps = 5" in echoed
 
     def test_admm_mode(self, tmp_path, synth_dir):
         # the ADMM baseline is a solver configuration, not a mode
@@ -373,7 +381,8 @@ class TestOneView:
 
 
 class TestMalformedInputs:
-    """Input files that exist but do not parse exit 4 and are named."""
+    """Input files that exist but do not parse, or a view missing from a
+    data dir, exit 4 and are named."""
 
     @staticmethod
     def corrupt(solved, tmp_path, case):
@@ -393,6 +402,19 @@ class TestMalformedInputs:
         assert main(["metrics", "--config", cfg,
                      "--out", str(tmp_path / "report")]) == 4
         assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "metrics"])
+    def test_missing_view(self, solved, tmp_path, capsys, command):
+        # view_2 would otherwise be solved and written as the second view
+        shutil.copytree(solved / "data", tmp_path / "data")
+        target = tmp_path / "data" / "view_1.mtx"
+        target.unlink()
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        SOLVE_CFG.format(data_dir=tmp_path / "data")
+                        + f"io.run_dir = {solved / 'run'}\n")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 4
+        assert f"view file not found: {target}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", FACTOR_CASES)
     def test_eval_retrieval(self, solved, tmp_path, capsys, case):
@@ -555,11 +577,7 @@ class TestKeysMirrorDataclasses:
     def check_defaults_echoed(cls, prefix, echo, given):
         for f in dataclasses.fields(cls):
             key = f"{prefix}.{f.name}"
-            if f.name in given:
-                continue
-            if f.default is None:
-                assert key not in echo
-            else:
+            if f.name not in given:
                 assert echo[key] == fmt_value(f.default), key
 
     def test_solver_defaults_echoed(self, tmp_path, synth_dir):
@@ -573,7 +591,7 @@ class TestKeysMirrorDataclasses:
                                    ("k", "outer_max"))
 
     def test_every_solver_field_accepted(self, tmp_path, synth_dir):
-        given = {"k": 3, "outer_max": 2, "tol_feas": 1e-3}
+        given = {"k": 3, "outer_max": 2}
         lines = [f"solver.{f.name} = "
                  f"{fmt_value(given.get(f.name, f.default))}"
                  for f in dataclasses.fields(SolverConfig)]
@@ -618,25 +636,31 @@ class TestKeysMirrorDataclasses:
                         + "reg.1.lambda = 0.02\n")
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["solve", "--config", cfg, "--out", str(first)]) == 0
-        assert "solver.tol_feas" not in read_echo(first / "resolved.cfg")
         assert main(["solve", "--config", str(first / "resolved.cfg"),
                      "--out", str(second)]) == 0
         for name in ("trace.csv", "resolved.cfg", "Q_1.csv", "G_1.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_negative_tol_feas_rejected(self, tmp_path, synth_dir):
+        # tol_feas is the solver constant TOL_FEAS now, not a key
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir)
                         + "solver.tol_feas = -1\n")
         code, _, err = run_cli("solve", "--config", cfg,
                                "--out", str(tmp_path / "run"))
         assert code == 2
-        assert "tol_feas" in err
+        assert "unknown config key 'solver.tol_feas'" in err
 
-    # power_iters is no longer a knob: a stale key fails as unknown
+    # power_iters, and the PDD constants and stop tolerances that are now
+    # constants of mvcca.solver, are no longer knobs: a stale key (from an
+    # older resolved.cfg) fails as unknown
     KNOB_CASES = {"solver.eta0 = nan": "eta0",
-                  "solver.tol_change = -5": "tol_change",
-                  "solver.safety = 0": "safety",
+                  "solver.tol_change = -5": "unknown config key",
+                  "solver.safety = 0": "unknown config key",
+                  "solver.rho0 = 2": "unknown config key",
+                  "solver.c = 0.9": "unknown config key",
+                  "solver.eps0 = 0.01": "unknown config key",
+                  "solver.eps_decay = 0.9": "unknown config key",
                   "solver.power_iters = 0": "unknown config key",
                   "reg.kind = l1\nreg.lambda = nan": "reg.lambda",
                   "reg.kind = l1\nreg.lambda = inf": "reg.lambda",
@@ -646,7 +670,8 @@ class TestKeysMirrorDataclasses:
                   "synth.outliers = 20\nsynth.noise_var = nan": "noise_var",
                   "synth.outliers = 20\nsynth.noise_var = inf": "noise_var",
                   "solver.seed = -1": "seed must be >= 0",
-                  "synth.seed = -3": "seed must be >= 0"}
+                  "synth.seed = -3": "seed must be >= 0",
+                  "synth.views = 1": "views must be >= 2"}
 
     @pytest.mark.parametrize("line", list(KNOB_CASES))
     def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
@@ -685,16 +710,28 @@ class TestKeysMirrorDataclasses:
             assert type(value) is type(default)
 
     def test_readme_key_table_lists_fields(self):
-        readme = (Path(__file__).resolve().parents[1]
-                  / "README.md").read_text(encoding="utf-8")
-        table = readme.split("### Config keys", 1)[1]
+        table = README.split("### Config keys", 1)[1]
         rows = {}
         for line in table.splitlines():
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             if len(cells) == 2:
-                rows[cells[0]] = cells[1].split(", ")
+                # drop "(values)" notes and the "; per-view ..." tail
+                keys = re.sub(r" \(.*?\)|;.*", "", cells[1])
+                rows[cells[0]] = keys.split(", ")
+        for prefix in ("solver", "reg", "synth", "retrieval", "io"):
+            assert rows[prefix] == [key.split(".", 1)[1] for key in _BASE_KEYS
+                                    if key.startswith(prefix + ".")], prefix
+        # the solver and synth keys are their dataclasses' fields
         for prefix, cls in (("solver", SolverConfig), ("synth", SynthSpec)):
             assert rows[prefix] == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("name", README_CONFIGS)
+    def test_readme_configs_parse(self, tmp_path, name):
+        # parse_config rejects unknown keys, so a removed key cannot
+        # linger in an example
+        path = tmp_path / name
+        path.write_text(README_CONFIGS[name], encoding="utf-8")
+        parse_config(path)
 
     def test_threads_flag_rejected(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",

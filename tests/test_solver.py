@@ -1,11 +1,12 @@
 import time
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mvcca.regularizers as rg
+import mvcca.solver as solver
 from mvcca.linalg import (SparseView, narrow_columns, spectral_norm_sq,
                           spmm_right)
 from mvcca.solver import (EmptyViewError, RegularityError, SolverConfig,
@@ -262,7 +263,7 @@ class TestDualOrPenaltyStep:
         bump = np.full_like(state.p[0], 0.25)
         state.p = [p + bump for p in state.p]
         res = primal_residual(state)
-        took_dual = dual_or_penalty_step(state, res, eta_r=res + 1.0, c=0.9)
+        took_dual = dual_or_penalty_step(state, res, eta_r=res + 1.0)
         assert took_dual
         assert state.rho == 2.0
         np.testing.assert_allclose(state.y[0], 2.0 * bump)
@@ -271,16 +272,16 @@ class TestDualOrPenaltyStep:
         state = aligned_state()
         state.rho = 2.0
         y_before = [y.copy() for y in state.y]
-        took_dual = dual_or_penalty_step(state, 5.0, eta_r=1.0, c=0.9)
+        took_dual = dual_or_penalty_step(state, 5.0, eta_r=1.0)
         assert not took_dual
-        assert state.rho == pytest.approx(2.0 / 0.9)
+        assert state.rho == pytest.approx(2.0 / solver.C)
         for y_old, y_new in zip(y_before, state.y):
             np.testing.assert_array_equal(y_old, y_new)
 
     def test_boundary_counts_as_success(self):
         state = aligned_state()
         state.rho = 3.0
-        assert dual_or_penalty_step(state, 1.0, eta_r=1.0, c=0.9)
+        assert dual_or_penalty_step(state, 1.0, eta_r=1.0)
         assert state.rho == 3.0
 
 
@@ -327,11 +328,12 @@ class TestRunSubsolver:
                                   for new, old in blocks)
         assert state.copy().moved == state.moved
 
-    def test_oversized_step_raises(self):
+    def test_oversized_step_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "SAFETY", 100.0)
         rng = np.random.default_rng(11)
         state = random_state(rng)
         with pytest.raises(StepSizeError, match="step size violation"):
-            run_subsolver(state, eps_r=1e-300, max_sweeps=10, safety=100.0)
+            run_subsolver(state, eps_r=1e-300, max_sweeps=10)
 
 
 class TestStateCopy:
@@ -447,12 +449,13 @@ class TestRunPdd:
         with pytest.raises(ValueError, match="other views"):
             run_pdd(views, SolverConfig(k=2, outer_max=2), init=init)
 
-    def test_long_solve_outlives_eps_underflow(self):
-        # tol_change = 0 keeps the solve going past r = 108, where
+    def test_long_solve_outlives_eps_underflow(self, monkeypatch):
+        # TOL_CHANGE = 0 keeps the solve going past r = 108, where
         # 1e-2 * 1e-3**r underflows to 0.0
+        monkeypatch.setattr(solver, "EPS_DECAY", 1e-3)
+        monkeypatch.setattr(solver, "TOL_CHANGE", 0.0)
         views = self._aligned_views(seed=13)
-        cfg = SolverConfig(k=2, eps_decay=1e-3, outer_max=200, seed=1,
-                           tol_change=0.0)
+        cfg = SolverConfig(k=2, outer_max=200, seed=1)
         _, trace = run_pdd(views, cfg)
         assert len(trace) == 201
 
@@ -497,18 +500,20 @@ class TestRunPdd:
         _, trace = run_pdd(views, cfg)
         assert len(trace) - 1 == len(calls) < cfg.outer_max
         sweeps, moved = calls[-1]
-        assert sweeps == 1 and moved <= cfg.tol_change
-        assert trace.rows[-1].primal_residual <= 1e-6 * 12 * 3
+        assert sweeps == 1 and moved <= solver.TOL_CHANGE
+        assert trace.rows[-1].primal_residual <= solver.TOL_FEAS * 12 * 3
 
     def test_multi_sweep_subsolves_never_stop(self, monkeypatch):
-        # eps0 = 1e-300 holds every sub-solve to its cap, so the stop
+        # EPS0 = 1e-300 holds every sub-solve to its cap, so the stop
         # test, which needs a one-sweep sub-solve, fails even with both
         # tolerances infinite
+        monkeypatch.setattr(solver, "EPS0", 1e-300)
+        monkeypatch.setattr(solver, "TOL_FEAS", np.inf)
+        monkeypatch.setattr(solver, "TOL_CHANGE", np.inf)
         calls = self._record_subsolves(monkeypatch)
         rng = np.random.default_rng(17)
         views = random_views(rng, 3, 12, 2)
-        cfg = SolverConfig(k=2, eps0=1e-300, sub_max_sweeps=2, outer_max=6,
-                           tol_feas=np.inf, tol_change=np.inf, seed=1)
+        cfg = SolverConfig(k=2, sub_max_sweeps=2, outer_max=6, seed=1)
         _, trace = run_pdd(views, cfg)
         assert [sweeps for sweeps, _ in calls] == [2] * 6
         assert len(trace) == 7
@@ -690,10 +695,11 @@ class TestRunAdmm:
         for a, b in zip(state_p.y, state_a.y):
             np.testing.assert_array_equal(a, b)
 
-    def test_descent_checked(self):
+    def test_descent_checked(self, monkeypatch):
+        monkeypatch.setattr(solver, "SAFETY", 200.0)
         rng = np.random.default_rng(14)
         views = [SparseView(rng.standard_normal((10, 7))) for _ in range(3)]
-        cfg = SolverConfig(k=2, outer_max=5, seed=15, safety=200.0, **ADMM)
+        cfg = SolverConfig(k=2, outer_max=5, seed=15, **ADMM)
         with pytest.raises(StepSizeError, match="step size violation"):
             run_pdd(views, cfg)
 
@@ -704,15 +710,15 @@ class TestRunAdmm:
         _, trace = run_pdd(views, cfg)
         assert len(trace) == 9
         rho = trace.column("rho")
-        np.testing.assert_array_equal(rho, np.full(9, cfg.rho0))
+        np.testing.assert_array_equal(rho, np.full(9, solver.RHO0))
 
 
 class TestLagrangianValue:
     def test_feasible_aligned_is_zero(self):
         state = aligned_state()
-        # a new state's rho is the config default, never the 0 that y / rho
-        # would divide by
-        assert state.rho == SolverConfig.rho0
+        # a new state's rho is RHO0, never the 0 that y / rho would
+        # divide by
+        assert state.rho == solver.RHO0
         assert lagrangian_value(state, None) == pytest.approx(0.0)
 
     def test_single_nonzero_coupling(self):
@@ -787,18 +793,18 @@ class TestSolverConfig:
         assert cfg.eta(4) == pytest.approx(25.0)
         assert cfg.eps(2) == pytest.approx(1e-2 * 0.81)
 
+    def test_fields(self):
+        # the PDD constants and stop tolerances are module constants
+        assert [f.name for f in fields(SolverConfig)] == [
+            "k", "eta0", "sub_max_sweeps", "outer_max", "seed",
+            "virtual_clock"]
+
     def test_eps_never_underflows(self):
         assert SolverConfig(k=2).eps(7100) > 0.0
 
     def test_validation(self):
         nan, inf = float("nan"), float("inf")
-        bad = [dict(k=0), dict(c=1.0), dict(c=nan), dict(rho0=0.0),
-               dict(rho0=nan), dict(rho0=inf), dict(eps0=0.0),
-               dict(eps0=nan), dict(eps0=inf), dict(safety=0.0),
-               dict(safety=-1.0), dict(safety=nan), dict(safety=inf),
-               dict(eta0=0.0), dict(eta0=nan), dict(tol_feas=-1.0),
-               dict(tol_feas=nan), dict(tol_change=-5.0),
-               dict(tol_change=nan), dict(seed=-1),
+        bad = [dict(k=0), dict(eta0=0.0), dict(eta0=nan), dict(seed=-1),
                dict(sub_max_sweeps=0), dict(outer_max=0)]
         for kwargs in bad:
             with pytest.raises(ValueError):

@@ -22,6 +22,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(rows=0, features=5, views=2)
 
+    @pytest.mark.parametrize("views", [0, 1])
+    def test_fewer_than_two_views(self, views):
+        with pytest.raises(ValueError, match="views must be >= 2"):
+            SynthSpec(rows=10, features=5, views=views)
+
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SynthSpec(rows=10, features=5, views=2, seed=-1)
@@ -74,7 +79,7 @@ class TestSharedFactorGenerator:
         assert np.linalg.matrix_rank(stacked) <= rank_shared
 
     def test_infeasible_density_errors(self):
-        spec = SynthSpec(rows=5, features=4, views=1, density=1e-9, seed=5)
+        spec = SynthSpec(rows=5, features=4, views=2, density=1e-9, seed=5)
         with pytest.raises(ValueError, match="infeasib"):
             gen_shared_factor(spec)
 
