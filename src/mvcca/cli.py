@@ -83,8 +83,8 @@ _BASE_KEYS = {
     "io.name": (str, "hashed"),
 }
 
-# reg.<i>.<name> overrides reg.<name> for view i
-_PER_VIEW_REG = re.compile(r"^reg\.\d+\.(\w+)$")
+# reg.<i>.<name> overrides reg.<name> for view i; _regularizers checks i
+_PER_VIEW_REG = re.compile(r"^reg\.(\d+)\.(\w+)$")
 
 
 class RunConfig:
@@ -94,7 +94,7 @@ class RunConfig:
         self.values: dict[str, object] = {}
         for key, text in raw.items():
             match = _PER_VIEW_REG.match(key)
-            base = f"reg.{match.group(1)}" if match else key
+            base = f"reg.{match.group(2)}" if match else key
             if base not in _BASE_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             caster = _BASE_KEYS[base][0]
@@ -168,6 +168,14 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
             raise ConfigError(f"{key}: {exc}") from exc
         return value
 
+    # an index past the last view, "01" or a non-ASCII digit names no
+    # view, and its key would be ignored
+    indices = {str(i) for i in range(n_views)}
+    for key in cfg.values:
+        match = _PER_VIEW_REG.match(key)
+        if match and match.group(1) not in indices:
+            raise ConfigError(f"{key}: no view {match.group(1)!r}, the "
+                              f"views are 0 to {n_views - 1}")
     base = {f.name: checked(key, f.name)
             for key, f in _keys("reg", Regularizer)}
     regs = []
@@ -180,6 +188,26 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
     return regs
 
 
+def _numbered_files(directory: Path, stem: str, suffix: str,
+                    what: str) -> list[Path]:
+    """``<stem>0<suffix>`` ... ``<stem><n-1><suffix>`` in ``directory``.
+
+    A gap would renumber the later files, so it raises an InputError
+    naming the first missing file.  An index is plain ASCII digits
+    without a leading zero; other names are not numbered files."""
+    found = {}
+    for p in directory.glob(f"{stem}*{suffix}"):
+        m = re.fullmatch(re.escape(stem) + "(0|[1-9][0-9]*)"
+                         + re.escape(suffix), p.name)
+        if m:
+            found[int(m.group(1))] = p
+    missing = sorted(set(range(len(found))) - set(found))
+    if missing:
+        raise InputError(f"{what} not found: "
+                         f"{directory / f'{stem}{missing[0]}{suffix}'}")
+    return [found[i] for i in range(len(found))]
+
+
 def _view_paths(cfg: RunConfig) -> list[Path]:
     if cfg.get("io.views"):
         paths = [Path(p.strip()) for p in str(cfg.get("io.views")).split(",")
@@ -188,17 +216,7 @@ def _view_paths(cfg: RunConfig) -> list[Path]:
         data_dir = Path(str(cfg.get("io.data_dir")))
         if not data_dir.is_dir():
             raise InputError(f"data directory not found: {data_dir}")
-        found = {}
-        for p in data_dir.glob("view_*.mtx"):
-            m = re.fullmatch(r"view_(\d+)\.mtx", p.name)
-            if m:
-                found[int(m.group(1))] = p
-        # view_0 ... view_{n-1}: a gap would renumber the later views
-        missing = sorted(set(range(len(found))) - set(found))
-        if missing:
-            raise InputError(f"view file not found: "
-                             f"{data_dir / f'view_{missing[0]}.mtx'}")
-        paths = [found[i] for i in range(len(found))]
+        paths = _numbered_files(data_dir, "view_", ".mtx", "view file")
     else:
         raise ConfigError("need io.views or io.data_dir")
     if not paths:
@@ -241,8 +259,12 @@ def _write_index_sets(path: Path, signal, outlier) -> None:
 def _read_index_sets(path: Path, n_cols: int):
     """Signal and outlier column indices, each a column of every view
     (0 to n_cols - 1) and listed once across the two lines; the signal
-    line is not empty."""
+    line is not empty and any later line is blank."""
     lines = path.read_text(encoding="ascii").splitlines()
+    extra = [n for n, line in enumerate(lines[2:], 3) if line.strip()]
+    if extra:
+        raise ValueError(f"line {extra[0]} follows the signal and outlier "
+                         "lines")
     while len(lines) < 2:
         lines.append("")
     # int() alone would also take digit-group underscores such as "1_0"
@@ -309,8 +331,15 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
         raise ConfigError("metrics needs io.run_dir")
     run_dir = Path(str(cfg.get("io.run_dir")))
     views = _load_views(cfg)
-    factors = _load_factors(
-        [run_dir / f"Q_{i}.csv" for i in range(len(views))], views)
+    # a lone view is a numeric failure, whatever the run dir holds
+    if len(views) < 2:
+        raise ValueError(f"metrics needs >= 2 views, got {len(views)}")
+    # the trace is scored against the ideal of the run's view count
+    paths = _numbered_files(run_dir, "Q_", ".csv", "factor file")
+    if len(paths) != len(views):
+        raise InputError(f"run dir {run_dir} holds {len(paths)} factors "
+                         f"Q_<i>.csv, expected one per view ({len(views)})")
+    factors = _load_factors(paths, views)
     signal, outlier = _read_input(_index_sets_path(cfg), "index set file",
                                   _read_index_sets,
                                   min(v.shape[1] for v in views))

@@ -14,7 +14,6 @@ nonconvex problem.
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 from dataclasses import astuple, dataclass
@@ -176,14 +175,8 @@ class SolverState:
     def k(self) -> int:
         return self.g[0].shape[1]
 
-    def copy(self) -> "SolverState":
-        """A deep copy of every attribute that shares the views."""
-        return copy.deepcopy(self, {id(v): v for v in self.views})
-
     def ensure_sigma(self, seed: int) -> None:
         """Cache the squared spectral norm of every view (seeded Lanczos)."""
-        if self.sigma_sq is not None:
-            return
         subseeds = np.random.SeedSequence(seed).generate_state(self.num_views)
         self.sigma_sq = [
             spectral_norm_sq(v, int(s))
@@ -428,7 +421,7 @@ def _widen(state: SolverState, views: list[SparseView],
     state.views = list(views)
 
 
-def run_pdd(views, config: SolverConfig, regs=None, init=None):
+def run_pdd(views, config: SolverConfig, regs=None):
     """Adaptive-penalty driver: sub-solver sweeps plus dual/penalty steps.
 
     Outer iteration r runs the sub-solver for at most
@@ -438,12 +431,13 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     once the residual is at most ``TOL_FEAS * L * K`` and a one-sweep
     sub-solve moved no entry by more than ``TOL_CHANGE``.
 
-    Every view is narrowed to its columns that store an entry or start
-    with a nonzero row of Q_i; the other rows stay exactly zero, so one
-    sweep costs O(nnz(X_i) K) sparse work plus O(I L K) and
-    O(M_data_i K) dense work, with M_data_i the columns of X_i that hold
-    data.  The solve holds a renumbered copy of each view's column
-    indices.  The spectral norms are those of the full views.
+    Every solve starts from :func:`init_random` at the config seed, where
+    every Q_i is zero.  Every view is narrowed to its columns that store
+    an entry; the other rows of Q_i stay exactly zero, so one sweep costs
+    O(nnz(X_i) K) sparse work plus O(I L K) and O(M_data_i K) dense work,
+    with M_data_i the columns of X_i that hold data.  The solve holds a
+    renumbered copy of each view's column indices.  The spectral norms
+    are those of the full views.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The
@@ -455,26 +449,17 @@ def run_pdd(views, config: SolverConfig, regs=None, init=None):
     validate_dimensions(views, config.k)
     n = len(views)
     regs = _as_reg_list(regs, n)
-    state = init.copy() if init is not None else init_random(
-        views, config.k, config.seed)
-    if state.k != config.k:
-        raise ValueError("initial state disagrees with config.k")
-    if len(state.views) != n or any(
-            a is not b for a, b in zip(state.views, views)):
-        raise ValueError("initial state was built on other views")
-    state.rho = RHO0
+    state = init_random(views, config.k, config.seed)
     # on the full views: Lanczos on a narrowed view runs on a smaller (or
     # the other) Gram and moves sigma^2, and so every iterate, by round-off
     state.ensure_sigma(config.seed)
     # a column that stores no entry (explicit zeros count) gives a zero
     # row in X_i^T(.), and every prox maps a zero row to zero, so a Q_i
-    # row there that starts at zero never moves or enters a product
+    # row there, zero at the start, never moves or enters a product
     kept = []
     for i, view in enumerate(views):
         keep = np.zeros(view.shape[1], dtype=bool)
         keep[view.raw.indices] = True
-        if init is not None:  # a random start's Q_i rows are all zero
-            keep |= np.any(state.q[i] != 0.0, axis=1)
         cols = np.flatnonzero(keep)
         state.views[i] = narrow_columns(view, cols)
         state.q[i] = state.q[i][cols]

@@ -344,6 +344,9 @@ BAD_INPUTS = {
     # past int64, which an int64 array cannot hold
     "index_sets_huge": ("data/index_sets.txt", lambda ls: [
         "99999999999999999999999"] + ls[1:]),
+    # the file has two lines
+    "index_sets_third_line": ("data/index_sets.txt", lambda ls: ls[:2]
+                              + ["foo bar"]),
 }
 FACTOR_CASES = [c for c in BAD_INPUTS if c.startswith("factor_")]
 
@@ -415,6 +418,41 @@ class TestMalformedInputs:
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 4
         assert f"view file not found: {target}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_views, extra_factor", [(2, False), (3, True)],
+                             ids=["fewer_views", "extra_factor"])
+    def test_factor_count_other_than_view_count(self, solved, tmp_path,
+                                                capsys, n_views,
+                                                extra_factor):
+        # the trace of the run would be read against the ideal of the
+        # views given
+        shutil.copytree(solved / "run", tmp_path / "run")
+        if extra_factor:
+            shutil.copy(tmp_path / "run" / "Q_0.csv",
+                        tmp_path / "run" / "Q_3.csv")
+        views = ",".join(str(solved / "data" / f"view_{i}.mtx")
+                         for i in range(n_views))
+        cfg = write_cfg(tmp_path / "metrics.cfg",
+                        f"io.views = {views}\n"
+                        f"io.data_dir = {solved / 'data'}\n"
+                        f"io.run_dir = {tmp_path / 'run'}\n")
+        out = tmp_path / "report"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 4
+        assert f"run dir {tmp_path / 'run'} holds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_factor_gap(self, solved, tmp_path, capsys):
+        # Q_0, Q_2 and Q_3 are three factors for the three views, but Q_3
+        # is not the second view's: the gap is named
+        shutil.copytree(solved / "run", tmp_path / "run")
+        (tmp_path / "run" / "Q_1.csv").rename(tmp_path / "run" / "Q_3.csv")
+        cfg = write_cfg(tmp_path / "metrics.cfg",
+                        f"io.data_dir = {solved / 'data'}\n"
+                        f"io.run_dir = {tmp_path / 'run'}\n")
+        assert main(["metrics", "--config", cfg,
+                     "--out", str(tmp_path / "report")]) == 4
+        assert (f"factor file not found: {tmp_path / 'run' / 'Q_1.csv'}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", FACTOR_CASES)
     def test_eval_retrieval(self, solved, tmp_path, capsys, case):
@@ -560,6 +598,22 @@ class TestConfigParsing:
         assert code == 2
         assert "config error" in err
 
+    # an index that names no view of the three: out of range, a leading
+    # zero, an Arabic-Indic digit
+    @pytest.mark.parametrize("key", ["reg.7.kind", "reg.01.kind",
+                                     "reg.\u0661.kind"],
+                             ids=["past_last", "leading_zero", "non_ascii"])
+    def test_per_view_key_without_view_rejected(self, tmp_path, synth_dir,
+                                                capsys, key):
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        SOLVE_CFG.format(data_dir=synth_dir)
+                        + f"{key} = nonneg\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not run_dir.exists()
+
     def test_per_view_reg_keys_accepted(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir)
@@ -689,6 +743,43 @@ class TestKeysMirrorDataclasses:
         err = capsys.readouterr().err
         assert "config error" in err
         assert self.KNOB_CASES[line] in err
+
+    # the key prefixes each command echoes, and the file it echoes them to
+    ECHOES = {"synth": (("synth.",), "spec.cfg"),
+              "solve": (("solver.", "reg.", "io."), "resolved.cfg"),
+              "metrics": (("io.",), "resolved.cfg"),
+              "eval-retrieval": (("io.", "retrieval."), "resolved.cfg"),
+              "hash": (("io.", "retrieval."), "resolved.cfg")}
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_echo_holds_exactly_the_command_keys(self, solved, tmp_path,
+                                                 command):
+        # one config serves all five commands; each echoes the keys under
+        # its own prefixes, the given ones as cast and the others at their
+        # defaults
+        text = tmp_path / "docs.txt"
+        text.write_text("the quick fox\njumps over\n", encoding="utf-8")
+        given = {
+            **dict(line.split(" = ") for line in SYNTH_CFG.splitlines()),
+            "solver.k": "3", "solver.outer_max": "2", "reg.kind": "l1",
+            "reg.1.lambda": "0.02", "retrieval.bits": "9",
+            "io.data_dir": str(solved / "data"),
+            "io.run_dir": str(solved / "run"),
+            "io.factors": ",".join(str(solved / "run" / f"Q_{i}.csv")
+                                   for i in range(3)),
+            "io.text": str(text)}
+        cfg = write_cfg(tmp_path / "all.cfg", "".join(
+            f"{key} = {value}\n" for key, value in given.items()))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        prefixes, name = self.ECHOES[command]
+        want = {key: fmt_value(default)
+                for key, (_, default) in _BASE_KEYS.items()
+                if key.startswith(prefixes)}
+        want.update((key, fmt_value(value))
+                    for key, value in RunConfig(given).values.items()
+                    if key.startswith(prefixes))
+        assert read_echo(out / name) == want
 
     # config key -> field of the dataclass that holds its default
     DEFAULT_FIELDS = {"reg.kind": (Regularizer, "kind"),
