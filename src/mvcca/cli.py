@@ -188,24 +188,41 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
     return regs
 
 
-def _numbered_files(directory: Path, stem: str, suffix: str,
-                    what: str) -> list[Path]:
-    """``<stem>0<suffix>`` ... ``<stem><n-1><suffix>`` in ``directory``.
+def _numbered(directory: Path, stem: str, suffix: str) -> dict[int, Path]:
+    """Index -> path of each ``<stem><index><suffix>`` in ``directory``.
 
-    A gap would renumber the later files, so it raises an InputError
-    naming the first missing file.  An index is plain ASCII digits
-    without a leading zero; other names are not numbered files."""
+    An index is plain ASCII digits without a leading zero; other names
+    are not numbered files."""
     found = {}
     for p in directory.glob(f"{stem}*{suffix}"):
         m = re.fullmatch(re.escape(stem) + "(0|[1-9][0-9]*)"
                          + re.escape(suffix), p.name)
         if m:
             found[int(m.group(1))] = p
+    return found
+
+
+def _numbered_files(directory: Path, stem: str, suffix: str,
+                    what: str) -> list[Path]:
+    """``<stem>0<suffix>`` ... ``<stem><n-1><suffix>`` in ``directory``.
+
+    A gap would renumber the later files, so it raises an InputError
+    naming the first missing file."""
+    found = _numbered(directory, stem, suffix)
     missing = sorted(set(range(len(found))) - set(found))
     if missing:
         raise InputError(f"{what} not found: "
                          f"{directory / f'{stem}{missing[0]}{suffix}'}")
     return [found[i] for i in range(len(found))]
+
+
+def _drop_numbered_from(directory: Path, stem: str, suffix: str,
+                        count: int) -> None:
+    """Remove the numbered files at index ``count`` and past it, so an
+    earlier, larger run leaves none that would be read with the new set."""
+    for index, p in _numbered(directory, stem, suffix).items():
+        if index >= count:
+            p.unlink()
 
 
 def _view_paths(cfg: RunConfig) -> list[Path]:
@@ -306,6 +323,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
         signal = np.arange(spec.features)
         outlier = np.array([], dtype=np.int64)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _drop_numbered_from(out_dir, "view_", ".mtx", len(views))
     for i, view in enumerate(views):
         save_matrix_market(out_dir / f"view_{i}.mtx", view)
     _write_index_sets(out_dir / "index_sets.txt", signal, outlier)
@@ -318,6 +336,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
     regs = _regularizers(cfg, len(views))
     state, trace = run_pdd(views, config, regs)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stem in ("Q_", "G_"):
+        _drop_numbered_from(out_dir, stem, ".csv", len(views))
     for i in range(len(views)):
         save_dense_csv(out_dir / f"Q_{i}.csv", state.q[i])
         save_dense_csv(out_dir / f"G_{i}.csv", state.g[i])

@@ -253,6 +253,20 @@ def load_dense_csv(path) -> np.ndarray:
     return arr
 
 
+def inner(a, b) -> float:
+    """Frobenius inner product <A, B>, the sum of A * B entrywise.
+
+    Summed by ``np.einsum``, which never calls BLAS.  ``np.vdot`` calls
+    BLAS ``ddot``, and OpenBLAS runs that on worker threads past 10 000
+    entries.  A woken worker spins on after the sum and takes a core
+    from what runs next, such as the retrieval distances' own threads;
+    only on much larger blocks (50 000 x 5) does it pay for itself.
+    The sums taken here (objective, trace and reported correlation,
+    O(L K) each) move no iterate.
+    """
+    return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
+
+
 def pairwise_inner_sum(mats) -> float:
     """Sum of <A_i, A_j> over unordered pairs i < j.
 
@@ -263,5 +277,5 @@ def pairwise_inner_sum(mats) -> float:
     squares = 0.0
     for a in mats:
         total += a
-        squares += float(np.vdot(a, a))
-    return 0.5 * (float(np.vdot(total, total)) - squares)
+        squares += inner(a, a)
+    return 0.5 * (inner(total, total) - squares)

@@ -186,8 +186,12 @@ def _ordered_ranks(projections) -> dict[tuple[int, int], np.ndarray]:
             p, (s, e) = task
             i, j = pairs[p]
             d = cross_distances(projections[i][s:e], projections[j])
-            return (p, s, e, (d < true[p][s:e, None]).sum(axis=1),
-                    (d < true[p]).sum(axis=0))
+            # counts summed in int32, the cheaper reduction: no count
+            # reaches 2**31, since each is at most n_rows
+            return (p, s, e,
+                    np.add.reduce(d < true[p][s:e, None], axis=1,
+                                  dtype=np.int32),
+                    np.add.reduce(d < true[p], axis=0, dtype=np.int32))
 
         # fold each slab's counts as it arrives, so no slab's column
         # counts outlive it

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import regularizers as rg
-from .linalg import (SparseView, narrow_columns, pairwise_inner_sum,
+from .linalg import (SparseView, inner, narrow_columns, pairwise_inner_sum,
                      polar_factor, spectral_norm_sq, spmm_left_t, spmm_right)
 
 logger = logging.getLogger(__name__)
@@ -321,14 +321,14 @@ def lagrangian_value(state: SolverState, regs,
     val = 0.0
     for i in range(n):
         p_i, g_i = state.p[i], state.g[i]
-        squares += float(np.vdot(p_i, p_i)) + float(np.vdot(g_i, g_i))
-        matched += float(np.vdot(p_i, g_i))
+        squares += inner(p_i, p_i) + inner(g_i, g_i)
+        matched += inner(p_i, g_i)
         val += 0.5 * rg.penalty_value(regs[i], state.q[i])
         slack = state.y[i] / rho
         slack += p_i
         slack -= g_i
-        val += 0.5 * rho * float(np.vdot(slack, slack))
-    cross = float(np.vdot(sum_p, sum_g)) - matched
+        val += 0.5 * rho * inner(slack, slack)
+    cross = inner(sum_p, sum_g) - matched
     return val + 0.5 * (n - 1) * squares - cross
 
 

@@ -103,6 +103,21 @@ class TestSynthCommand:
                 == (second / f"view_{i}.mtx").read_bytes()
 
 
+    def test_rerun_with_fewer_views_replaces_the_set(self, tmp_path):
+        data = tmp_path / "data"
+        for views in (4, 3):
+            cfg = write_cfg(tmp_path / f"synth{views}.cfg", SYNTH_CFG.replace(
+                "synth.views = 3", f"synth.views = {views}"))
+            if views == 3:
+                # not numbered files by the no-leading-zero rule: kept
+                for name in ("view_03.mtx", "view_x.mtx"):
+                    (data / name).write_text("", encoding="ascii")
+            assert main(["synth", "--config", cfg, "--out", str(data)]) == 0
+        assert sorted(p.name for p in data.glob("view_*.mtx")) == [
+            "view_0.mtx", "view_03.mtx", "view_1.mtx", "view_2.mtx",
+            "view_x.mtx"]
+
+
 class TestSolveCommand:
     def test_round_trip(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "solve.cfg",
@@ -118,6 +133,25 @@ class TestSolveCommand:
         assert 100 * trace.column("total_correlation")[-1] \
             / trace.ideal >= 90
         assert (run_dir / "resolved.cfg").exists()
+
+    def test_rerun_with_fewer_views_replaces_the_set(self, tmp_path,
+                                                     synth_dir):
+        more = tmp_path / "more"
+        shutil.copytree(synth_dir, more)
+        shutil.copy(more / "view_2.mtx", more / "view_3.mtx")
+        run_dir = tmp_path / "run"
+        for data in (more, synth_dir):
+            cfg = write_cfg(tmp_path / "solve.cfg",
+                            SOLVE_CFG.format(data_dir=data))
+            assert main(["solve", "--config", cfg,
+                         "--out", str(run_dir)]) == 0
+        assert sorted(p.name for p in run_dir.glob("[QG]_*.csv")) == [
+            f"{stem}{i}.csv" for stem in ("G_", "Q_") for i in range(3)]
+        metrics_cfg = write_cfg(
+            tmp_path / "metrics.cfg",
+            f"io.data_dir = {synth_dir}\nio.run_dir = {run_dir}\n")
+        assert main(["metrics", "--config", metrics_cfg,
+                     "--out", str(tmp_path / "report")]) == 0
 
     def test_missing_view_file(self, tmp_path):
         cfg = write_cfg(tmp_path / "solve.cfg",

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ import scipy.io
 import scipy.sparse as sp
 
 from mvcca import linalg
-from mvcca.linalg import (RankDeficiencyError, SparseView,
+from mvcca.linalg import (RankDeficiencyError, SparseView, inner,
                           load_dense_csv, load_matrix_market, narrow_columns,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
                           save_matrix_market, spectral_norm_sq, spmm_left_t,
                           spmm_right)
-from mvcca.solver import EmptyViewError, init_random, step_size
+from mvcca.retrieval import evaluate_pairs
+from mvcca.solver import (EmptyViewError, SolverConfig, init_random, run_pdd,
+                          step_size)
+from mvcca.synth import SynthSpec, gen_shared_factor, metric1, \
+    total_correlation
 
 from oracles import materialize, pairwise_inner_loop, random_stiefel
 
@@ -238,6 +243,42 @@ class TestPairwiseInnerSum:
         ref = pairwise_inner_loop(mats)
         assert abs(pairwise_inner_sum(mats) - ref) \
             <= 1e-10 * max(1.0, abs(ref))
+
+
+class TestInner:
+    # every shape pairwise_inner_sum takes: any array, also a scalar, an
+    # empty block, a stacked array and a transposed (non-contiguous) one
+    @pytest.mark.parametrize("shape, transpose", [
+        ((), False), ((7,), False), ((0, 5), False), ((7, 3), False),
+        ((3000, 5), False), ((5, 3000), True), ((2, 3, 4), False)])
+    def test_matches_exact_sum(self, shape, transpose):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        a, b = rng.standard_normal((2, *shape))
+        if transpose:
+            a, b = a.T, b.T
+        for x, y in ((a, b), (a, a)):
+            products = (x * y).ravel().tolist()
+            ref = math.fsum(products)
+            scale = math.fsum(abs(v) for v in products)
+            got = inner(x, y)
+            assert isinstance(got, float)
+            assert abs(got - ref) <= 1e-12 * scale
+
+    def test_solve_and_scoring_never_call_blas_dot(self, monkeypatch):
+        # OpenBLAS threads its dot product past 10 000 entries, and a
+        # woken worker spins on into whatever runs next
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS dot product called")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        monkeypatch.setattr(np, "dot", refuse)
+        views = gen_shared_factor(SynthSpec(rows=150, features=20, views=3,
+                                            density=0.1, seed=3))
+        state, trace = run_pdd(views, SolverConfig(k=3, outer_max=5, seed=4))
+        assert len(trace) == 6
+        assert total_correlation(views, state.q)[1] > 0.0
+        assert metric1(views, state.q, np.arange(10)) > 0.0
+        assert evaluate_pairs(views, state.q).mean_aroc > 50.0
 
 
 class TestSpectralNorm:
