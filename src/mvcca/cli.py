@@ -1,10 +1,11 @@
-"""Batch front door: synth | solve | metrics | eval-retrieval | hash.
+"""Batch front door: the subcommands of ``COMMANDS``.
 
-Every subcommand reads a flat key=value config file, validates it
-against the known key set, writes its outputs plus a fully resolved
-config echo into the output directory, and exits 0 on success, 2 on
-config errors, 3 on numeric failures, 4 on I/O failures.  With a fixed
-seed every subcommand is byte-for-byte reproducible.
+Every subcommand reads a flat key=value config file, its only source of
+settings, checks it against the known keys and the value rules of
+``_bool``, ``_int`` and ``_name``, writes its outputs plus a fully
+resolved config echo into the output directory, and exits 0 on success,
+2 on config errors, 3 on numeric failures, 4 on I/O failures.  With
+fixed seeds every subcommand is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -41,12 +42,25 @@ class InputError(Exception):
 
 
 def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    """``true`` or ``false``, the spellings the echo writes."""
+    if text not in ("true", "false"):
+        raise ValueError(f"{text!r} is not true or false")
+    return text == "true"
+
+
+def _int(text: str) -> int:
+    """An optionally signed run of ASCII digits; int() alone would also
+    take digit-group underscores such as "1_0" and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _name(text: str) -> str:
+    """A file name that lands in ``--out``: not empty, no ``/``."""
+    if not text or "/" in text:
+        raise ValueError(f"{text!r} is not a file name in --out")
+    return text
 
 
 # config keys whose names differ from their dataclass fields'
@@ -61,11 +75,11 @@ def _keys(prefix: str, cls) -> list[tuple[str, dataclasses.Field]]:
 
 
 def _field_keys(prefix: str, cls) -> dict[str, tuple]:
-    """One key per dataclass field, cast by its annotated type; the
-    field's default is the key's."""
+    """One key per dataclass field, cast by its annotated type (a float
+    or str field by that type itself); the field's default is the key's."""
     hints = typing.get_type_hints(cls)
-    return {key: (_bool if hints[f.name] is bool else hints[f.name],
-                  f.default)
+    casters = {bool: _bool, int: _int}
+    return {key: (casters.get(hints[f.name], hints[f.name]), f.default)
             for key, f in _keys(prefix, cls)}
 
 
@@ -80,11 +94,14 @@ _BASE_KEYS = {
     "io.views": (str, ""),
     "io.factors": (str, ""),
     "io.text": (str, ""),
-    "io.name": (str, "hashed"),
+    "io.name": (_name, "hashed"),
 }
 
+# a view index, in per-view keys and numbered file names: ASCII digits
+# without a leading zero
+_INDEX = "(0|[1-9][0-9]*)"
 # reg.<i>.<name> overrides reg.<name> for view i; _regularizers checks i
-_PER_VIEW_REG = re.compile(r"^reg\.(\d+)\.(\w+)$")
+_PER_VIEW_REG = re.compile(rf"^reg\.{_INDEX}\.(\w+)$")
 
 
 class RunConfig:
@@ -111,20 +128,13 @@ class RunConfig:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
-    def set(self, key: str, value) -> None:
-        self.values[key] = value
-
     def resolved(self, prefixes: tuple[str, ...]) -> dict[str, object]:
-        out = {}
-        for key, (_, default) in _BASE_KEYS.items():
-            if key.startswith(prefixes):
-                value = self.values.get(key, default)
-                if value is not dataclasses.MISSING:
-                    out[key] = value
-        for key, val in self.values.items():
-            if _PER_VIEW_REG.match(key) and key.startswith(prefixes):
-                out[key] = val
-        return out
+        """Every key under ``prefixes``: given ones as cast, the others
+        at their defaults."""
+        out = {key: default for key, (_, default) in _BASE_KEYS.items()
+               if default is not dataclasses.MISSING}
+        out.update(self.values)
+        return {k: v for k, v in out.items() if k.startswith(prefixes)}
 
 
 def parse_config(path: Path) -> RunConfig:
@@ -168,8 +178,7 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
             raise ConfigError(f"{key}: {exc}") from exc
         return value
 
-    # an index past the last view, "01" or a non-ASCII digit names no
-    # view, and its key would be ignored
+    # an index past the last view names no view; its key would be ignored
     indices = {str(i) for i in range(n_views)}
     for key in cfg.values:
         match = _PER_VIEW_REG.match(key)
@@ -189,14 +198,12 @@ def _regularizers(cfg: RunConfig, n_views: int) -> list[Regularizer]:
 
 
 def _numbered(directory: Path, stem: str, suffix: str) -> dict[int, Path]:
-    """Index -> path of each ``<stem><index><suffix>`` in ``directory``.
-
-    An index is plain ASCII digits without a leading zero; other names
-    are not numbered files."""
+    """Index -> path of each ``<stem><index><suffix>`` in ``directory``;
+    a name whose index breaks the ``_INDEX`` rule is no numbered file."""
     found = {}
     for p in directory.glob(f"{stem}*{suffix}"):
-        m = re.fullmatch(re.escape(stem) + "(0|[1-9][0-9]*)"
-                         + re.escape(suffix), p.name)
+        m = re.fullmatch(re.escape(stem) + _INDEX + re.escape(suffix),
+                         p.name)
         if m:
             found[int(m.group(1))] = p
     return found
@@ -225,12 +232,16 @@ def _drop_numbered_from(directory: Path, stem: str, suffix: str,
             p.unlink()
 
 
+def _path_list(cfg: RunConfig, key: str) -> list[Path]:
+    """The comma-separated paths of ``key``, blank items skipped."""
+    return [Path(p.strip()) for p in cfg.get(key).split(",") if p.strip()]
+
+
 def _view_paths(cfg: RunConfig) -> list[Path]:
     if cfg.get("io.views"):
-        paths = [Path(p.strip()) for p in str(cfg.get("io.views")).split(",")
-                 if p.strip()]
+        paths = _path_list(cfg, "io.views")
     elif cfg.get("io.data_dir"):
-        data_dir = Path(str(cfg.get("io.data_dir")))
+        data_dir = Path(cfg.get("io.data_dir"))
         if not data_dir.is_dir():
             raise InputError(f"data directory not found: {data_dir}")
         paths = _numbered_files(data_dir, "view_", ".mtx", "view file")
@@ -284,12 +295,11 @@ def _read_index_sets(path: Path, n_cols: int):
                          "lines")
     while len(lines) < 2:
         lines.append("")
-    # int() alone would also take digit-group underscores such as "1_0"
-    bad = [t for t in " ".join(lines[:2]).split()
-           if not re.fullmatch(r"[+-]?[0-9]+", t)]
-    if bad:
-        raise ValueError(f"column index {bad[0]!r} is not an integer")
-    signal, outlier = ([int(t) for t in line.split()] for line in lines[:2])
+    try:
+        signal, outlier = ([_int(t) for t in line.split()]
+                           for line in lines[:2])
+    except ValueError as exc:
+        raise ValueError(f"column index {exc}") from None
     if not signal:
         raise ValueError("no signal column index")
     # checked as Python ints: an index past int64 would overflow the array
@@ -327,7 +337,6 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
     for i, view in enumerate(views):
         save_matrix_market(out_dir / f"view_{i}.mtx", view)
     _write_index_sets(out_dir / "index_sets.txt", signal, outlier)
-    _echo_config(out_dir / "spec.cfg", cfg.resolved(("synth.",)))
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
@@ -342,14 +351,12 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
         save_dense_csv(out_dir / f"Q_{i}.csv", state.q[i])
         save_dense_csv(out_dir / f"G_{i}.csv", state.g[i])
     trace.to_csv(out_dir / "trace.csv")
-    _echo_config(out_dir / "resolved.cfg",
-                 cfg.resolved(("solver.", "reg.", "io.")))
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.run_dir"):
         raise ConfigError("metrics needs io.run_dir")
-    run_dir = Path(str(cfg.get("io.run_dir")))
+    run_dir = Path(cfg.get("io.run_dir"))
     views = _load_views(cfg)
     # a lone view is a numeric failure, whatever the run dir holds
     if len(views) < 2:
@@ -360,9 +367,11 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
         raise InputError(f"run dir {run_dir} holds {len(paths)} factors "
                          f"Q_<i>.csv, expected one per view ({len(views)})")
     factors = _load_factors(paths, views)
-    signal, outlier = _read_input(_index_sets_path(cfg), "index set file",
-                                  _read_index_sets,
-                                  min(v.shape[1] for v in views))
+    if not cfg.get("io.data_dir"):
+        raise ConfigError("metrics needs io.data_dir for index_sets.txt")
+    signal, outlier = _read_input(
+        Path(cfg.get("io.data_dir")) / "index_sets.txt", "index set file",
+        _read_index_sets, min(v.shape[1] for v in views))
     k = factors[0].shape[1]
     ideal = k * len(views) * (len(views) - 1)
     trace = _read_input(run_dir / "trace.csv", "trace file", Trace.from_csv,
@@ -381,21 +390,13 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
         "total_corr_percent,metric1,metric2,time95\n"
         f"{fmt_value(percent)},{fmt_value(m1)},{m2},{t95_text}\n",
         encoding="ascii")
-    _echo_config(out_dir / "resolved.cfg", cfg.resolved(("io.",)))
-
-
-def _index_sets_path(cfg: RunConfig) -> Path:
-    if cfg.get("io.data_dir"):
-        return Path(str(cfg.get("io.data_dir"))) / "index_sets.txt"
-    raise ConfigError("metrics needs io.data_dir for index_sets.txt")
 
 
 def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
     views = _load_views(cfg)
     if not cfg.get("io.factors"):
         raise ConfigError("eval-retrieval needs io.factors")
-    factor_paths = [Path(p.strip())
-                    for p in str(cfg.get("io.factors")).split(",") if p.strip()]
+    factor_paths = _path_list(cfg, "io.factors")
     if len(factor_paths) != len(views):
         raise ConfigError("io.factors count must match view count")
     factors = _load_factors(factor_paths, views)
@@ -409,14 +410,13 @@ def cmd_eval_retrieval(cfg: RunConfig, out_dir: Path) -> None:
                  f"{fmt_value(result.mean_nn_freq)}")
     (out_dir / "pairs.csv").write_text("\n".join(lines) + "\n",
                                        encoding="ascii")
-    _echo_config(out_dir / "resolved.cfg", cfg.resolved(("io.", "retrieval.")))
 
 
 def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     if not cfg.get("io.text"):
         raise ConfigError("hash needs io.text")
     spec = _from_keys(retrieval.HashSpec, "retrieval", cfg)
-    path = Path(str(cfg.get("io.text")))
+    path = Path(cfg.get("io.text"))
     text = _read_input(path, "text file", Path.read_text, "utf-8")
     docs = [line.split() for line in text.splitlines()]
     if not docs:
@@ -424,21 +424,26 @@ def cmd_hash(cfg: RunConfig, out_dir: Path) -> None:
     view = retrieval.hash_corpus(docs, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_market(out_dir / f"{cfg.get('io.name')}.mtx", view)
-    _echo_config(out_dir / "resolved.cfg",
-                 cfg.resolved(("io.", "retrieval.")))
+
+
+# command -> (its function, its echo file, the key prefixes it echoes)
+COMMANDS = {
+    "synth": (cmd_synth, "spec.cfg", ("synth.",)),
+    "solve": (cmd_solve, "resolved.cfg", ("solver.", "reg.", "io.")),
+    "metrics": (cmd_metrics, "resolved.cfg", ("io.",)),
+    "eval-retrieval": (cmd_eval_retrieval, "resolved.cfg",
+                       ("io.", "retrieval.")),
+    "hash": (cmd_hash, "resolved.cfg", ("io.", "retrieval.")),
+}
 
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="mvcca",
         description="structured multiview CCA: generate, solve, evaluate")
-    parser.add_argument("command",
-                        choices=["synth", "solve", "metrics",
-                                 "eval-retrieval", "hash"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="key=value file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override solver.seed and synth.seed")
     parser.add_argument("--verbose", action="store_true")
     return parser.parse_args(argv)
 
@@ -450,20 +455,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = parse_config(Path(args.config))
-        if args.seed is not None:
-            cfg.set("solver.seed", args.seed)
-            cfg.set("synth.seed", args.seed)
+        run, echo, prefixes = COMMANDS[args.command]
         out_dir = Path(args.out)
-        if args.command == "synth":
-            cmd_synth(cfg, out_dir)
-        elif args.command == "solve":
-            cmd_solve(cfg, out_dir)
-        elif args.command == "metrics":
-            cmd_metrics(cfg, out_dir)
-        elif args.command == "eval-retrieval":
-            cmd_eval_retrieval(cfg, out_dir)
-        else:
-            cmd_hash(cfg, out_dir)
+        run(cfg, out_dir)
+        _echo_config(out_dir / echo, cfg.resolved(prefixes))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

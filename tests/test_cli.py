@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mvcca.cli import _BASE_KEYS, RunConfig, fmt_value, main, parse_config
+from mvcca.cli import (_BASE_KEYS, COMMANDS, RunConfig, fmt_value, main,
+                       parse_config)
 from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.retrieval import HashSpec, hash_corpus
@@ -87,12 +88,6 @@ class TestSynthCommand:
         signal = [int(t) for t in lines[0].split()]
         outlier = [int(t) for t in lines[1].split()]
         assert sorted(signal + outlier) == list(range(50))
-
-    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "synth.cfg", SYNTH_CFG)
-        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d"),
-                     "--seed", "-3"]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path / "synth2.cfg", SYNTH_CFG)
@@ -234,19 +229,6 @@ class TestSolveCommand:
         trace = Trace.from_csv(run_dir / "trace.csv", ideal=3 * 3 * 2)
         np.testing.assert_array_equal(trace.column("rho"),
                                       np.full(len(trace), 2.0))
-
-    def test_seed_flag_overrides(self, tmp_path, synth_dir):
-        cfg = write_cfg(tmp_path / "solve.cfg",
-                        SOLVE_CFG.format(data_dir=synth_dir)
-                        + "solver.virtual_clock = true\n")
-        run_a = tmp_path / "ra"
-        run_b = tmp_path / "rb"
-        assert main(["solve", "--config", cfg, "--out", str(run_a),
-                     "--seed", "99"]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(run_b)]) == 0
-        a = (run_a / "trace.csv").read_bytes()
-        b = (run_b / "trace.csv").read_bytes()
-        assert a != b
 
 
 def _zero_row_and_column(x):
@@ -555,6 +537,22 @@ class TestHashAndRetrievalCommands:
         assert "bits must be in [1, 30]" in capsys.readouterr().err
         assert not out.exists()
 
+    # an absolute path, a step up out of --out, and an empty name (the
+    # hidden file <out>/.mtx)
+    @pytest.mark.parametrize("name", ["{root}/escaped", "../up", ""],
+                             ids=["absolute", "parent", "empty"])
+    def test_name_outside_out_rejected(self, tmp_path, capsys, name):
+        text = tmp_path / "docs.txt"
+        text.write_text("the quick fox\n")
+        cfg = write_cfg(tmp_path / "hash.cfg",
+                        f"io.text = {text}\n"
+                        f"io.name = {name.format(root=tmp_path)}\n")
+        out = tmp_path / "hashed"
+        assert main(["hash", "--config", cfg, "--out", str(out)]) == 2
+        assert "io.name" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.mtx"))
+
     def test_eval_retrieval(self, tmp_path, synth_dir):
         solve_cfg = write_cfg(tmp_path / "solve.cfg",
                               SOLVE_CFG.format(data_dir=synth_dir))
@@ -632,8 +630,8 @@ class TestConfigParsing:
         assert code == 2
         assert "config error" in err
 
-    # an index that names no view of the three: out of range, a leading
-    # zero, an Arabic-Indic digit
+    # an index that names no view of the three: out of range; a leading
+    # zero or an Arabic-Indic digit is no index, so that key is unknown
     @pytest.mark.parametrize("key", ["reg.7.kind", "reg.01.kind",
                                      "reg.\u0661.kind"],
                              ids=["past_last", "leading_zero", "non_ascii"])
@@ -716,18 +714,35 @@ class TestKeysMirrorDataclasses:
             key, value = line.split(" = ")
             assert echo[key] == value
 
-    def test_resolved_config_reproduces_trace(self, tmp_path, synth_dir):
-        cfg = write_cfg(tmp_path / "solve.cfg",
-                        SOLVE_CFG.format(data_dir=synth_dir)
-                        + "solver.virtual_clock = true\n"
-                        + "reg.kind = l21\nreg.lambda = 0.01\n"
-                        + "reg.1.lambda = 0.02\n")
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_echo_reproduces_outputs(self, solved, tmp_path, command):
+        # a command's echo, given back as its config, writes the same
+        # bytes, the echo included: it holds every key the command reads
+        text = tmp_path / "docs.txt"
+        text.write_text("the quick fox\njumps over\n", encoding="utf-8")
+        data, run = solved / "data", solved / "run"
+        factors = ",".join(str(run / f"Q_{i}.csv") for i in range(3))
+        given = {
+            "synth": SYNTH_CFG + "synth.outliers = 10\n",
+            "solve": SOLVE_CFG.format(data_dir=data)
+            + "solver.virtual_clock = true\n"
+            + "reg.kind = l21\nreg.lambda = 0.01\nreg.1.lambda = 0.02\n",
+            "metrics": f"io.data_dir = {data}\nio.run_dir = {run}\n",
+            "eval-retrieval": f"io.data_dir = {data}\n"
+                              f"io.factors = {factors}\n",
+            "hash": f"io.text = {text}\nio.name = docs\n"
+                    "retrieval.bits = 9\n"}[command]
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["solve", "--config", cfg, "--out", str(first)]) == 0
-        assert main(["solve", "--config", str(first / "resolved.cfg"),
+        assert main([command, "--config", write_cfg(tmp_path / "run.cfg",
+                                                    given),
+                     "--out", str(first)]) == 0
+        assert main([command, "--config", str(first / COMMANDS[command][1]),
                      "--out", str(second)]) == 0
-        for name in ("trace.csv", "resolved.cfg", "Q_1.csv", "G_1.csv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() \
+                == (second / name).read_bytes(), name
 
     def test_negative_tol_feas_rejected(self, tmp_path, synth_dir):
         # tol_feas is the solver constant TOL_FEAS now, not a key
@@ -741,7 +756,9 @@ class TestKeysMirrorDataclasses:
 
     # power_iters, and the PDD constants and stop tolerances that are now
     # constants of mvcca.solver, are no longer knobs: a stale key (from an
-    # older resolved.cfg) fails as unknown
+    # older resolved.cfg) fails as unknown.  An integer is ASCII digits
+    # with an optional sign, and a boolean true or false, so int()'s digit
+    # groups, a non-ASCII digit and other boolean spellings fail
     KNOB_CASES = {"solver.eta0 = nan": "eta0",
                   "solver.tol_change = -5": "unknown config key",
                   "solver.safety = 0": "unknown config key",
@@ -759,7 +776,10 @@ class TestKeysMirrorDataclasses:
                   "synth.outliers = 20\nsynth.noise_var = inf": "noise_var",
                   "solver.seed = -1": "seed must be >= 0",
                   "synth.seed = -3": "seed must be >= 0",
-                  "synth.views = 1": "views must be >= 2"}
+                  "synth.views = 1": "views must be >= 2",
+                  "solver.k = 1_0": "solver.k",
+                  "solver.outer_max = \u0663": "solver.outer_max",
+                  "solver.virtual_clock = yes": "solver.virtual_clock"}
 
     @pytest.mark.parametrize("line", list(KNOB_CASES))
     def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
@@ -858,11 +878,14 @@ class TestKeysMirrorDataclasses:
         path.write_text(README_CONFIGS[name], encoding="utf-8")
         parse_config(path)
 
-    def test_threads_flag_rejected(self, tmp_path, synth_dir):
+    # settings come from the config file only
+    @pytest.mark.parametrize("flag", ["--threads 2", "--seed 3"])
+    def test_threads_flag_rejected(self, tmp_path, synth_dir, flag):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir))
         code, _, err = run_cli("solve", "--config", cfg,
                                "--out", str(tmp_path / "run"),
-                               "--threads", "2")
+                               *flag.split())
         assert code == 2
-        assert "--threads" in err
+        assert flag.split()[0] in err
+        assert flag.split()[0] not in run_cli("--help")[1]
