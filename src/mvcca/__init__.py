@@ -6,14 +6,13 @@ from .linalg import (RankDeficiencyError, SparseView, load_dense_csv,
                      spmm_right)
 from .regularizers import Regularizer, penalty_value, prox
 from .retrieval import (HashSpec, RetrievalResult, aroc, cross_distances,
-                        evaluate_pairs, hash_corpus, hash_featurize, nn_freq,
-                        project, split_rows)
+                        evaluate_pairs, hash_corpus, nn_freq, project,
+                        split_rows)
 from .solver import (EmptyViewError, RegularityError, SolverConfig,
                      SolverState, StepSizeError, Trace, init_random,
                      lagrangian_value, primal_residual, run_pdd,
                      run_subsolver, validate_dimensions)
-from .synth import (IndexSets, SynthSpec, gen_shared_factor,
-                    gen_with_outliers, metric1, metric2, time_to_fraction,
-                    total_correlation)
+from .synth import (SynthSpec, gen_shared_factor, gen_with_outliers,
+                    metric1, metric2, time_to_fraction, total_correlation)
 
 __version__ = "0.1.0"

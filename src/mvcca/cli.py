@@ -2,10 +2,10 @@
 
 Every subcommand reads a flat key=value config file, its only source of
 settings, checks it against the known keys and the value rules of
-``_bool``, ``_int`` and ``_name``, writes its outputs plus a fully
-resolved config echo into the output directory, and exits 0 on success,
-2 on config errors, 3 on numeric failures, 4 on I/O failures.  With
-fixed seeds every subcommand is byte-for-byte reproducible.
+``_CASTERS`` and ``_name``, writes its outputs plus a fully resolved
+config echo into the output directory, and exits 0 on success, 2 on
+config errors, 3 on numeric failures, 4 on I/O failures.  With fixed
+seeds every subcommand is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    """An ASCII decimal or exponent form, optionally signed, or ``inf``,
+    as the echo writes infinity; float() alone would also take "1_0",
+    non-ASCII digits, "nan" and other spellings of infinity."""
+    if not re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                        r"|inf)", text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
+
+
 def _name(text: str) -> str:
     """A file name that lands in ``--out``: not empty, no ``/``."""
     if not text or "/" in text:
@@ -74,12 +84,15 @@ def _keys(prefix: str, cls) -> list[tuple[str, dataclasses.Field]]:
             for f in dataclasses.fields(cls)]
 
 
+# the caster of each annotated field type
+_CASTERS = {bool: _bool, int: _int, float: _float, str: str}
+
+
 def _field_keys(prefix: str, cls) -> dict[str, tuple]:
-    """One key per dataclass field, cast by its annotated type (a float
-    or str field by that type itself); the field's default is the key's."""
+    """One key per dataclass field, cast by the caster of its annotated
+    type; the field's default is the key's."""
     hints = typing.get_type_hints(cls)
-    casters = {bool: _bool, int: _int}
-    return {key: (casters.get(hints[f.name], hints[f.name]), f.default)
+    return {key: (_CASTERS[hints[f.name]], f.default)
             for key, f in _keys(prefix, cls)}
 
 
@@ -278,12 +291,6 @@ def _load_factors(paths: list[Path], views) -> list[np.ndarray]:
     return factors
 
 
-def _write_index_sets(path: Path, signal, outlier) -> None:
-    lines = [" ".join(str(int(i)) for i in signal),
-             " ".join(str(int(i)) for i in outlier)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def _read_index_sets(path: Path, n_cols: int):
     """Signal and outlier column indices, each a column of every view
     (0 to n_cols - 1) and listed once across the two lines; the signal
@@ -325,18 +332,18 @@ def _from_keys(cls, prefix: str, cfg: RunConfig):
 
 def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
     spec = _from_keys(synth.SynthSpec, "synth", cfg)
-    if spec.outliers > 0:
-        views, idx = synth.gen_with_outliers(spec)
-        signal, outlier = idx.signal, idx.outlier
-    else:
-        views = synth.gen_shared_factor(spec)
-        signal = np.arange(spec.features)
-        outlier = np.array([], dtype=np.int64)
+    generate = (synth.gen_with_outliers if spec.outliers
+                else synth.gen_shared_factor)
+    views = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _drop_numbered_from(out_dir, "view_", ".mtx", len(views))
     for i, view in enumerate(views):
         save_matrix_market(out_dir / f"view_{i}.mtx", view)
-    _write_index_sets(out_dir / "index_sets.txt", signal, outlier)
+    # the signal columns 0 to features - 1, then the outlier columns
+    columns = [str(i) for i in range(spec.features + spec.outliers)]
+    (out_dir / "index_sets.txt").write_text(
+        " ".join(columns[:spec.features]) + "\n"
+        + " ".join(columns[spec.features:]) + "\n", encoding="ascii")
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> None:
@@ -439,7 +446,7 @@ COMMANDS = {
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
-        prog="mvcca",
+        prog="mvcca", allow_abbrev=False,
         description="structured multiview CCA: generate, solve, evaluate")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="key=value file")

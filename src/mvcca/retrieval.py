@@ -54,13 +54,20 @@ def _token_slot_sign(token: str, spec: HashSpec) -> tuple[int, float]:
     return slot, sign
 
 
-def _hashed_csr(documents, spec: HashSpec) -> sp.csr_matrix:
-    """Canonical CSR of a corpus, built from arrays: one row per document.
+def hash_corpus(documents, spec: HashSpec) -> SparseView:
+    """Hash an iterable of token iterables into one view, one row each.
+
+    Documents may be any iterables, generators included.  Each
+    occurrence adds +/-1 at its token's slot, so hashing a concatenation
+    of two documents equals the sum of their hashed rows exactly, and
+    the expected inner product of two hashed rows equals the
+    bag-of-words inner product; an empty document gives the zero row.
 
     The occurrences go into one flat list, each distinct token is hashed
     once, and every occurrence is mapped to its token's slot and sign by
-    one array lookup.  One ``sum_duplicates`` then sorts each row's slots
-    and sums them, keeping a sum that cancels as an explicit zero.
+    one array lookup.  The CSR is built in one step, and one
+    ``sum_duplicates`` then sorts each row's slots and sums them, so a
+    sum that cancels stays an explicit zero.
     """
     flat: list = []
     indptr = [0]
@@ -78,32 +85,7 @@ def _hashed_csr(documents, spec: HashSpec) -> sp.csr_matrix:
     matrix = sp.csr_matrix((sign[ids], slot[ids], np.array(indptr)),
                            shape=(len(indptr) - 1, spec.slots))
     matrix.sum_duplicates()
-    return matrix
-
-
-def hash_featurize(tokens, spec: HashSpec) -> sp.csr_matrix:
-    """Hash one token sequence into a signed 1 x 2**bits sparse row.
-
-    Each occurrence adds +/-1 at its slot, so hashing a concatenation of
-    two sequences equals the sum of their hashed rows exactly, and the
-    expected inner product of two hashed rows equals the bag-of-words
-    inner product.  An empty sequence gives the zero row.  The row is
-    the one-document corpus's canonical CSR, with float64 values and
-    int32 indices, returned as built: its values are sums of +/-1 and
-    its duplicates are summed, so it needs none of a view's checks.
-    """
-    return _hashed_csr([tokens], spec)
-
-
-def hash_corpus(documents, spec: HashSpec) -> SparseView:
-    """Hash an iterable of token iterables into one view, one row each.
-
-    Documents may be any iterables, generators included.  All
-    occurrences are hashed as arrays: each distinct token is hashed
-    once, the CSR is built in one step, and a document's occurrences in
-    one slot are summed, so a sum that cancels stays an explicit zero.
-    """
-    return SparseView(_hashed_csr(documents, spec))
+    return SparseView(matrix)
 
 
 def split_rows(n_rows: int, seed: int,

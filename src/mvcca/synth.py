@@ -59,18 +59,6 @@ class SynthSpec:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """Column index partition of each view: signal block, outlier block."""
-
-    signal: np.ndarray
-    outlier: np.ndarray
-
-    def __post_init__(self):
-        if np.intersect1d(self.signal, self.outlier).size:
-            raise ValueError("signal and outlier indices overlap")
-
-
 def _sparse_gaussian(rows: int, cols: int, density: float, rng,
                      std: float = 1.0) -> sp.csr_matrix:
     """Sparse matrix with a uniform random support and Gaussian values."""
@@ -124,20 +112,21 @@ def _signal_block(shared: sp.csr_matrix, spec: SynthSpec,
         f"after {_MAX_ATTEMPTS} attempts")
 
 
-def _gen_clean_parts(spec: SynthSpec):
-    """Clean-regime generator exposing the shared factor and per-view mixes."""
-    root = np.random.SeedSequence(spec.seed)
-    streams = root.spawn(spec.views + 1)
+def _shared_draw(spec: SynthSpec, per_view: int):
+    """The shared factor and each view's RNG streams.
+
+    The spec seed spawns ``1 + per_view * views`` streams: the first
+    draws the shared factor and view i takes the ``per_view`` streams
+    from ``1 + per_view * i`` on.
+    """
+    streams = np.random.SeedSequence(spec.seed).spawn(
+        1 + per_view * spec.views)
     shared = _sparse_gaussian(
         spec.rows, spec.features,
         _factor_density(spec.density, spec.features),
         np.random.default_rng(streams[0]))
-    views, mixes = [], []
-    for i in range(spec.views):
-        block, mix = _signal_block(shared, spec, streams[1 + i])
-        views.append(SparseView(block))
-        mixes.append(mix)
-    return views, shared, mixes
+    return shared, [streams[1 + per_view * i:1 + per_view * (i + 1)]
+                    for i in range(spec.views)]
 
 
 def gen_shared_factor(spec: SynthSpec) -> list[SparseView]:
@@ -147,30 +136,28 @@ def gen_shared_factor(spec: SynthSpec) -> list[SparseView]:
     """
     if spec.outliers != 0:
         raise ValueError("clean generator requires outliers == 0")
-    return _gen_clean_parts(spec)[0]
+    shared, streams = _shared_draw(spec, 1)
+    return [SparseView(_signal_block(shared, spec, signal_stream)[0])
+            for (signal_stream,) in streams]
 
 
-def gen_with_outliers(spec: SynthSpec) -> tuple[list[SparseView], IndexSets]:
+def gen_with_outliers(spec: SynthSpec) -> list[SparseView]:
     """Outlier regime: [signal | outliers] + noise, energy matched.
 
-    The outlier block of each view is uncorrelated across views and
-    rescaled so its Frobenius norm is within 5% of the signal block's;
-    sparse Gaussian noise with the spec variance covers all columns.
+    Each view has ``features + outliers`` columns: the signal block in
+    columns 0 to ``features - 1``, then the outlier block.  The outlier
+    block is uncorrelated across views and rescaled so its Frobenius
+    norm equals the signal block's up to round-off; sparse Gaussian
+    noise with the spec variance covers all columns.
     """
     if spec.outliers <= 0:
         raise ValueError("outlier generator requires outliers > 0")
-    root = np.random.SeedSequence(spec.seed)
-    streams = root.spawn(3 * spec.views + 1)
-    shared = _sparse_gaussian(
-        spec.rows, spec.features,
-        _factor_density(spec.density, spec.features),
-        np.random.default_rng(streams[0]))
-
+    shared, streams = _shared_draw(spec, 3)
     views = []
     total_cols = spec.features + spec.outliers
-    for i in range(spec.views):
-        signal, _ = _signal_block(shared, spec, streams[1 + 3 * i])
-        out_rng = np.random.default_rng(streams[2 + 3 * i])
+    for signal_stream, outlier_stream, noise_stream in streams:
+        signal, _ = _signal_block(shared, spec, signal_stream)
+        out_rng = np.random.default_rng(outlier_stream)
         out_density = max(signal.nnz / (spec.rows * spec.features),
                           1.0 / (spec.rows * spec.outliers))
         outlier = _sparse_gaussian(spec.rows, spec.outliers,
@@ -180,20 +167,15 @@ def gen_with_outliers(spec: SynthSpec) -> tuple[list[SparseView], IndexSets]:
         if outlier_energy == 0 or signal_energy == 0:
             raise ValueError("generated block is empty; density infeasible")
         outlier = outlier * (signal_energy / outlier_energy)
-        ratio = sp.linalg.norm(outlier) / signal_energy
-        if not 0.95 <= ratio <= 1.05:
-            raise AssertionError(f"energy ratio {ratio:g} out of range")
         mat = sp.hstack([signal, outlier]).tocsr()
         if spec.noise_var > 0:
-            noise_rng = np.random.default_rng(streams[3 + 3 * i])
+            noise_rng = np.random.default_rng(noise_stream)
             noise = _sparse_gaussian(spec.rows, total_cols, spec.density,
                                      noise_rng, std=np.sqrt(spec.noise_var))
             mat = (mat + noise).tocsr()
         mat.sort_indices()
         views.append(SparseView(mat))
-    idx = IndexSets(np.arange(spec.features),
-                    np.arange(spec.features, total_cols))
-    return views, idx
+    return views
 
 
 def total_correlation(views, factors) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import pytest
 
 import mvcca.regularizers as rg
 from mvcca.linalg import SparseView
-from mvcca.retrieval import (HashSpec, aroc, evaluate_pairs, hash_featurize,
+from mvcca.retrieval import (HashSpec, aroc, evaluate_pairs, hash_corpus,
                              nn_freq)
 from mvcca.solver import (SolverConfig, SolverState, grad_q,
                           lagrangian_value, run_pdd, run_subsolver, update_g)
@@ -62,14 +62,16 @@ def test_criterion_2_outlier_suppression():
         spec = SynthSpec(rows=2000, features=800, views=3, components=5,
                          density=1e-2, outliers=800, noise_var=0.01,
                          seed=seed)
-        views, idx = gen_with_outliers(spec)
+        views = gen_with_outliers(spec)
         cfg = SolverConfig(k=5, outer_max=150, seed=seed + 10)
         plain, _ = run_pdd(views, cfg)
         grouped, _ = run_pdd(views, cfg,
                              regs=rg.Regularizer("l21", lam=0.1))
-        m1 = metric1(views, grouped.q, idx.signal)
-        m2_plain = metric2(plain.q, idx.outlier)
-        m2_grouped = metric2(grouped.q, idx.outlier)
+        # signal columns first, then the outlier columns
+        signal, outlier = np.arange(800), np.arange(800, 1600)
+        m1 = metric1(views, grouped.q, signal)
+        m2_plain = metric2(plain.q, outlier)
+        m2_grouped = metric2(grouped.q, outlier)
         good = m1 >= 80.0 and m2_grouped <= 0.5 * m2_plain
         if not good:
             failures.append(seed)
@@ -233,10 +235,10 @@ def test_criterion_9_hashing_unbiased():
     probe = np.random.default_rng(990)
     for seed in range(1000):
         spec = HashSpec(bits=10, seed=seed)
-        hashed = np.vstack([hash_featurize(d, spec).toarray() for d in docs])
+        hashed = hash_corpus(docs, spec).raw.toarray()
         acc += hashed @ hashed.T
         a, b = probe.integers(0, 50, size=2)
-        combined = hash_featurize(docs[a] + docs[b], spec).toarray().ravel()
+        combined = hash_corpus([docs[a] + docs[b]], spec).raw.toarray()[0]
         if not np.array_equal(combined, hashed[a] + hashed[b]):
             linear_ok = False
     mean = acc / 1000.0

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvcca.cli import (_BASE_KEYS, COMMANDS, RunConfig, fmt_value, main,
                        parse_config)
+from mvcca import synth
 from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.retrieval import HashSpec, hash_corpus
@@ -293,6 +294,25 @@ class TestMetricsCommand:
         assert float(fields[1]) >= 90.0
         assert fields[2] == ""  # no outlier block in the clean regime
 
+    def test_outlier_regime_metric2(self, tmp_path):
+        cfg = write_cfg(tmp_path / "synth.cfg",
+                        SYNTH_CFG + "synth.outliers = 10\n")
+        data, run, out = (tmp_path / name for name in ("data", "run",
+                                                        "report"))
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["solve", "--config", write_cfg(
+            tmp_path / "solve.cfg", SOLVE_CFG.format(data_dir=data)),
+                     "--out", str(run)]) == 0
+        assert main(["metrics", "--config", write_cfg(
+            tmp_path / "metrics.cfg",
+            f"io.data_dir = {data}\nio.run_dir = {run}\n"),
+                     "--out", str(out)]) == 0
+        fields = (out / "report.csv").read_text().splitlines()[1].split(",")
+        factors = [load_dense_csv(run / f"Q_{i}.csv") for i in range(3)]
+        # the outlier columns follow the 40 signal columns
+        assert fields[2] == fmt_value(synth.metric2(factors,
+                                                    np.arange(40, 50)))
+
     def test_missing_inputs(self, tmp_path, synth_dir):
         metrics_cfg = write_cfg(
             tmp_path / "metrics.cfg",
@@ -379,6 +399,57 @@ def solved(tmp_path_factory):
         root / "solve.cfg", SOLVE_CFG.format(data_dir=data)),
                  "--out", str(run)]) == 0
     return root
+
+
+# documented failures of a command's config or inputs, each ending before
+# the command writes anything.  name: (command, config, exit code,
+# stderr text); {data} and {run} are a synth dir and a solve of it,
+# {views} its view files, {empty} an empty directory and {tmp} the test's
+# own directory
+COMMAND_FAILURES = {
+    "missing_required_key": ("solve", "io.data_dir = {data}\n", 2,
+                             "missing required config key 'solver.k'"),
+    "no_equals": ("solve", "solver.k 3\n", 2,
+                  "line 1: expected key = value"),
+    "duplicate_key": ("solve", "solver.k = 3\nsolver.k = 4\n", 2,
+                      "line 2: duplicate key 'solver.k'"),
+    "no_views": ("solve", "solver.k = 3\n", 2,
+                 "need io.views or io.data_dir"),
+    "metrics_no_run_dir": ("metrics", "io.data_dir = {data}\n", 2,
+                           "metrics needs io.run_dir"),
+    "metrics_no_data_dir": ("metrics",
+                            "io.views = {views}\nio.run_dir = {run}\n", 2,
+                            "metrics needs io.data_dir for index_sets.txt"),
+    "eval_no_factors": ("eval-retrieval", "io.data_dir = {data}\n", 2,
+                        "eval-retrieval needs io.factors"),
+    "eval_factor_count": ("eval-retrieval", "io.data_dir = {data}\n"
+                          "io.factors = {run}/Q_0.csv,{run}/Q_1.csv\n", 2,
+                          "io.factors count must match view count"),
+    "hash_no_text": ("hash", "retrieval.bits = 9\n", 2,
+                     "hash needs io.text"),
+    "data_dir_missing": ("solve", "solver.k = 3\nio.data_dir = {tmp}/nope\n",
+                         4, "data directory not found: {tmp}/nope"),
+    "data_dir_empty": ("solve", "solver.k = 3\nio.data_dir = {empty}\n", 4,
+                       "no view files found"),
+    "views_blank": ("solve", "solver.k = 3\nio.views = , ,\n", 4,
+                    "no view files found"),
+}
+
+
+class TestCommandFailures:
+    @pytest.mark.parametrize("case", sorted(COMMAND_FAILURES))
+    def test_exit_code(self, solved, tmp_path, capsys, case):
+        command, given, code, message = COMMAND_FAILURES[case]
+        (tmp_path / "empty").mkdir()
+        paths = {"data": solved / "data", "run": solved / "run",
+                 "views": ",".join(str(solved / "data" / f"view_{i}.mtx")
+                                   for i in range(3)),
+                 "empty": tmp_path / "empty", "tmp": tmp_path}
+        cfg = write_cfg(tmp_path / "run.cfg", given.format(**paths))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert message.format(**paths) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOneView:
@@ -757,8 +828,9 @@ class TestKeysMirrorDataclasses:
     # power_iters, and the PDD constants and stop tolerances that are now
     # constants of mvcca.solver, are no longer knobs: a stale key (from an
     # older resolved.cfg) fails as unknown.  An integer is ASCII digits
-    # with an optional sign, and a boolean true or false, so int()'s digit
-    # groups, a non-ASCII digit and other boolean spellings fail
+    # with an optional sign, a float ASCII decimal or exponent form or
+    # inf, and a boolean true or false, so int()'s and float()'s digit
+    # groups, non-ASCII digits and other boolean spellings fail
     KNOB_CASES = {"solver.eta0 = nan": "eta0",
                   "solver.tol_change = -5": "unknown config key",
                   "solver.safety = 0": "unknown config key",
@@ -779,7 +851,9 @@ class TestKeysMirrorDataclasses:
                   "synth.views = 1": "views must be >= 2",
                   "solver.k = 1_0": "solver.k",
                   "solver.outer_max = \u0663": "solver.outer_max",
-                  "solver.virtual_clock = yes": "solver.virtual_clock"}
+                  "solver.virtual_clock = yes": "solver.virtual_clock",
+                  "solver.eta0 = 1_0": "solver.eta0",
+                  "reg.lambda = \u0660.\u0665": "reg.lambda"}
 
     @pytest.mark.parametrize("line", list(KNOB_CASES))
     def test_out_of_range_knob_rejected(self, tmp_path, synth_dir, capsys,
@@ -878,14 +952,19 @@ class TestKeysMirrorDataclasses:
         path.write_text(README_CONFIGS[name], encoding="utf-8")
         parse_config(path)
 
-    # settings come from the config file only
-    @pytest.mark.parametrize("flag", ["--threads 2", "--seed 3"])
+    # settings come from the config file only, and a flag has one
+    # spelling: abbreviations of --config, --out and --verbose fail
+    @pytest.mark.parametrize("flag", ["--threads 2", "--seed 3",
+                                      "--conf {cfg}", "--ou {out}", "--verb"])
     def test_threads_flag_rejected(self, tmp_path, synth_dir, flag):
         cfg = write_cfg(tmp_path / "solve.cfg",
                         SOLVE_CFG.format(data_dir=synth_dir))
-        code, _, err = run_cli("solve", "--config", cfg,
-                               "--out", str(tmp_path / "run"),
+        out = tmp_path / "run"
+        flag = flag.format(cfg=cfg, out=out)
+        code, _, err = run_cli("solve", "--config", cfg, "--out", str(out),
                                *flag.split())
         assert code == 2
-        assert flag.split()[0] in err
-        assert flag.split()[0] not in run_cli("--help")[1]
+        name = flag.split()[0]
+        assert name in err
+        # not listed as a flag of its own: "--conf" is part of "--config"
+        assert not re.search(rf"{name}\b", run_cli("--help")[1])

@@ -213,6 +213,30 @@ class TestPolarFactor:
         np.testing.assert_allclose(polar_factor(m), u @ vt, rtol=0,
                                    atol=1e-10)
 
+    @staticmethod
+    def rotated(singular):
+        # U diag(singular) V^T, whose polar factor is U V^T
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((50, len(singular))))[0]
+        v = np.linalg.qr(rng.standard_normal((len(singular),) * 2))[0]
+        return u @ np.diag(singular) @ v.T, u @ v.T
+
+    def test_newton_schulz_sweep_recovers_orthonormality(self):
+        m, want = self.rotated([1.0, 1.0, 1e-4])
+        # the Gram fold alone misses the 1e-12 check ...
+        evals, vecs = np.linalg.eigh(m.T @ m)
+        fold = m @ ((vecs / np.sqrt(evals)) @ vecs.T)
+        assert np.linalg.norm(fold.T @ fold - np.eye(3)) > 1e-12
+        # ... and the sweep brings the result within 1e-10
+        g = polar_factor(m)
+        assert np.linalg.norm(g.T @ g - np.eye(3)) <= 1e-10
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-10)
+
+    def test_newton_schulz_sweep_not_enough(self):
+        m, _ = self.rotated([1.0, 1.0, 1e-6])
+        with pytest.raises(RankDeficiencyError, match="rank-deficient"):
+            polar_factor(m)
+
     @pytest.mark.parametrize("case", ["one_column_zero", "rotated_1e-7",
                                       "duplicate_column"])
     def test_rank_deficient_errors(self, case):

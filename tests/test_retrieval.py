@@ -7,10 +7,14 @@ import scipy.sparse as sp
 from mvcca import retrieval
 from mvcca.linalg import SparseView
 from mvcca.retrieval import (HashSpec, aroc, cross_distances, evaluate_pairs,
-                             hash_corpus, hash_featurize, nn_freq, project,
-                             split_rows)
+                             hash_corpus, nn_freq, project, split_rows)
 
 from oracles import hashed_rows, materialize
+
+
+def hash_row(tokens, spec):
+    """One document hashed as a one-row corpus."""
+    return hash_corpus([tokens], spec).raw
 
 
 def bow_vector(doc, vocab):
@@ -23,12 +27,12 @@ def bow_vector(doc, vocab):
 
 class TestHashFeaturize:
     def test_repeated_token_single_slot(self):
-        row = hash_featurize(["a", "a"], HashSpec(bits=10, seed=0))
+        row = hash_row(["a", "a"], HashSpec(bits=10, seed=0))
         assert row.nnz == 1
         assert abs(row.data[0]) == 2.0
 
     def test_empty_tokens_zero_row(self):
-        row = hash_featurize([], HashSpec(bits=10, seed=0))
+        row = hash_row([], HashSpec(bits=10, seed=0))
         assert row.nnz == 0
         assert row.shape == (1, 1024)
 
@@ -39,22 +43,21 @@ class TestHashFeaturize:
         for _ in range(20):
             d1 = list(rng.choice(vocab, size=rng.integers(0, 25)))
             d2 = list(rng.choice(vocab, size=rng.integers(0, 25)))
-            combined = hash_featurize(d1 + d2, spec).toarray()
-            separate = (hash_featurize(d1, spec)
-                        + hash_featurize(d2, spec)).toarray()
+            combined = hash_row(d1 + d2, spec).toarray()
+            separate = (hash_row(d1, spec) + hash_row(d2, spec)).toarray()
             np.testing.assert_array_equal(combined, separate)
 
     def test_deterministic_across_calls(self):
         spec = HashSpec(bits=12, seed=9)
         doc = ["alpha", "beta", "gamma", "alpha"]
-        a = hash_featurize(doc, spec).toarray()
-        b = hash_featurize(doc, spec).toarray()
+        a = hash_row(doc, spec).toarray()
+        b = hash_row(doc, spec).toarray()
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_layout(self):
         doc = ["alpha", "beta", "gamma"]
-        a = hash_featurize(doc, HashSpec(bits=12, seed=0)).toarray()
-        b = hash_featurize(doc, HashSpec(bits=12, seed=1)).toarray()
+        a = hash_row(doc, HashSpec(bits=12, seed=0)).toarray()
+        b = hash_row(doc, HashSpec(bits=12, seed=1)).toarray()
         assert not np.array_equal(a, b)
 
     def test_inner_product_unbiased(self):
@@ -68,8 +71,7 @@ class TestHashFeaturize:
         n_seeds = 300
         for seed in range(n_seeds):
             spec = HashSpec(bits=10, seed=seed)
-            hashed = np.vstack(
-                [hash_featurize(d, spec).toarray() for d in docs])
+            hashed = hash_corpus(docs, spec).raw.toarray()
             acc += hashed @ hashed.T
         mean = acc / n_seeds
         for i in range(8):
@@ -96,7 +98,7 @@ class TestHashCorpus:
         spec = HashSpec(bits=9, seed=2)
         view = hash_corpus([["a", "b"], [], ["c"]], spec)
         assert view.shape == (3, 512)
-        row1 = hash_featurize(["a", "b"], spec).toarray()
+        row1 = hash_row(["a", "b"], spec).toarray()
         np.testing.assert_array_equal(materialize(view)[0], row1.ravel())
         assert np.all(materialize(view)[1] == 0.0)
 
@@ -108,7 +110,7 @@ class TestHashCorpus:
         spec = HashSpec(bits=6, seed=3)
         docs = [["a", "b", "a"], [], ["c", "b"], ["b", "d", "e", "a"]]
         got = hash_corpus(docs, spec).raw
-        ref = sp.vstack([hash_featurize(d, spec) for d in docs]).tocsr()
+        ref = sp.vstack([hash_row(d, spec) for d in docs]).tocsr()
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype
@@ -183,8 +185,8 @@ def random_docs(rng, n_docs, vocab, max_len):
 
 
 class TestArrayBuiltHashing:
-    """``hash_corpus`` and ``hash_featurize`` against per-document sums
-    of ``_token_slot_sign``."""
+    """``hash_corpus`` of a corpus and of each document alone against
+    per-document sums of ``_token_slot_sign``."""
 
     CORPORA = {
         # tokens repeat within and across documents, and 16 slots for 40
@@ -210,7 +212,7 @@ class TestArrayBuiltHashing:
         view = hash_corpus(docs, spec)
         assert_hashed_rows(view.raw, rows, spec)
         for i, doc in enumerate(docs):
-            one = hash_featurize(doc, spec)
+            one = hash_row(doc, spec)
             assert_hashed_rows(one, rows[i:i + 1], spec)
             assert (one != view.raw[i]).nnz == 0
 
@@ -230,7 +232,7 @@ class TestArrayBuiltHashing:
         spec = HashSpec(bits=5, seed=3)
         got = hash_corpus(((tok for tok in doc) for doc in docs), spec)
         assert_hashed_rows(got.raw, signed_sums(docs, spec), spec)
-        one = hash_featurize((tok for tok in docs[2]), spec)
+        one = hash_row((tok for tok in docs[2]), spec)
         assert_hashed_rows(one, signed_sums(docs[2:3], spec), spec)
 
 

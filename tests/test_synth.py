@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mvcca import synth
 from mvcca.linalg import SparseView, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.solver import SolverConfig, Trace, TraceRow, run_pdd
-from mvcca.synth import (IndexSets, SynthSpec, _gen_clean_parts,
+from mvcca.synth import (SynthSpec, _shared_draw, _signal_block,
                          gen_shared_factor, gen_with_outliers, metric1,
                          metric2, time_to_fraction, total_correlation)
 
@@ -37,10 +40,6 @@ class TestSpecValidation:
             SynthSpec(rows=10, features=5, views=2, outliers=3,
                       noise_var=value)
 
-    def test_index_sets_disjoint(self):
-        with pytest.raises(ValueError, match="overlap"):
-            IndexSets(np.array([0, 1]), np.array([1, 2]))
-
 
 class TestSharedFactorGenerator:
     def test_rejects_outlier_spec(self):
@@ -57,10 +56,12 @@ class TestSharedFactorGenerator:
 
     def test_dense_case_matches_explicit_product(self):
         spec = SynthSpec(rows=12, features=6, views=2, density=1.0, seed=2)
-        views, shared, mixes = _gen_clean_parts(spec)
-        for view, mix in zip(views, mixes):
+        shared, streams = _shared_draw(spec, 1)
+        for view, (stream,) in zip(gen_shared_factor(spec), streams):
+            block, mix = _signal_block(shared, spec, stream)
             ref = np.asarray(shared.todense()) @ np.asarray(mix.todense())
             np.testing.assert_allclose(materialize(view), ref, atol=1e-12)
+            assert (view.raw != block).nnz == 0
 
     def test_same_seed_identical_bytes(self, tmp_path):
         spec = SynthSpec(rows=50, features=20, views=2, density=0.1, seed=3)
@@ -73,10 +74,35 @@ class TestSharedFactorGenerator:
 
     def test_views_share_row_space(self):
         spec = SynthSpec(rows=30, features=10, views=3, density=0.4, seed=4)
-        views, shared, _ = _gen_clean_parts(spec)
+        views = gen_shared_factor(spec)
+        shared, _ = _shared_draw(spec, 1)
         stacked = np.asarray(stack_views(views).todense())
         rank_shared = np.linalg.matrix_rank(np.asarray(shared.todense()))
         assert np.linalg.matrix_rank(stacked) <= rank_shared
+
+    def test_missed_density_is_resolved(self, monkeypatch):
+        # the first mix of view 0 misses the 20% band; a re-solved fill
+        # lands inside it
+        calls = []
+        sparse_gaussian = synth._sparse_gaussian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sparse_gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_sparse_gaussian", counted)
+        spec = SynthSpec(rows=10, features=5, views=3, density=0.1, seed=1)
+        views = gen_shared_factor(spec)
+        # the shared factor and one mix per view, had every first try hit
+        assert len(calls) > 1 + spec.views
+        for view in views:
+            assert abs(view.nnz / 50 - 0.1) <= 0.2 * 0.1
+
+    def test_density_attempts_exhausted(self):
+        spec = SynthSpec(rows=10, features=20, views=3, density=0.02, seed=0)
+        with pytest.raises(ValueError, match="could not hit density 0.02 "
+                           "within 20% after 12 attempts"):
+            gen_shared_factor(spec)
 
     def test_infeasible_density_errors(self):
         spec = SynthSpec(rows=5, features=4, views=2, density=1e-9, seed=5)
@@ -93,30 +119,31 @@ class TestOutlierGenerator:
     def test_energy_ratio_and_partition(self):
         spec = SynthSpec(rows=100, features=40, views=3, density=0.1,
                          outliers=25, seed=6)
-        views, idx = gen_with_outliers(spec)
+        views = gen_with_outliers(spec)
         assert len(views) == 3
         for view in views:
             assert view.shape == (100, 65)
-        union = np.union1d(idx.signal, idx.outlier)
-        np.testing.assert_array_equal(union, np.arange(65))
-        np.testing.assert_array_equal(idx.signal, np.arange(40))
-        np.testing.assert_array_equal(idx.outlier, np.arange(40, 65))
+        # without noise, view 0's first 40 columns are the clean
+        # generator's view 0: both draw it from the same stream
+        quiet = gen_with_outliers(dataclasses.replace(spec, noise_var=0.0))
+        clean = gen_shared_factor(dataclasses.replace(spec, outliers=0))
+        assert (quiet[0].raw[:, :40] != clean[0].raw).nnz == 0
 
     def test_energy_match_without_noise(self):
         spec = SynthSpec(rows=120, features=50, views=2, density=0.1,
                          outliers=50, noise_var=0.0, seed=7)
-        views, idx = gen_with_outliers(spec)
+        views = gen_with_outliers(spec)
         for view in views:
             dense = materialize(view)
-            sig = np.linalg.norm(dense[:, idx.signal])
-            out = np.linalg.norm(dense[:, idx.outlier])
+            sig = np.linalg.norm(dense[:, :50])
+            out = np.linalg.norm(dense[:, 50:])
             assert 0.95 <= out / sig <= 1.05
 
     def test_deterministic(self):
         spec = SynthSpec(rows=60, features=20, views=2, density=0.2,
                          outliers=10, seed=8)
-        v1, _ = gen_with_outliers(spec)
-        v2, _ = gen_with_outliers(spec)
+        v1 = gen_with_outliers(spec)
+        v2 = gen_with_outliers(spec)
         for a, b in zip(v1, v2):
             assert (a.raw != b.raw).nnz == 0
 
@@ -259,10 +286,11 @@ class TestRegularizedOutlierSuppression:
     def test_group_penalty_shrinks_outlier_mass(self):
         spec = SynthSpec(rows=600, features=200, views=3, density=2e-2,
                          outliers=200, seed=15)
-        views, idx = gen_with_outliers(spec)
+        views = gen_with_outliers(spec)
         cfg = SolverConfig(k=3, outer_max=120, seed=16)
         plain, _ = run_pdd(views, cfg)
         reg, _ = run_pdd(views, cfg, regs=Regularizer("l21", lam=0.1))
-        m2_plain = metric2(plain.q, idx.outlier)
-        m2_reg = metric2(reg.q, idx.outlier)
+        outlier = np.arange(200, 400)
+        m2_plain = metric2(plain.q, outlier)
+        m2_reg = metric2(reg.q, outlier)
         assert m2_reg <= 0.5 * m2_plain
