@@ -1,5 +1,6 @@
 """Structured sum-of-correlations multiview CCA on large sparse data."""
 
+from .errors import ConfigError, InputError, NumericError
 from .linalg import (RankDeficiencyError, SparseView, load_dense_csv,
                      load_matrix_market, polar_factor, save_dense_csv,
                      save_matrix_market, spectral_norm_sq, spmm_left_t,

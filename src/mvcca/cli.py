@@ -3,9 +3,11 @@
 Every subcommand reads a flat key=value config file, its only source of
 settings, checks it against the known keys and the value rules of
 ``_CASTERS`` and ``_name``, writes its outputs plus a fully resolved
-config echo into the output directory, and exits 0 on success, 2 on
-config errors, 3 on numeric failures, 4 on I/O failures.  With fixed
-seeds every subcommand is byte-for-byte reproducible.
+config echo into the output directory, and exits 0 on success.  A
+failure exits by its class (see :mod:`.errors`): 2 on a ``ConfigError``,
+4 on an ``InputError`` or ``OSError``, 3 on a ``NumericError``.  Any
+other exception is a bug and propagates.  With fixed seeds every
+subcommand is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import typing
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from . import retrieval, synth
-from .linalg import (load_dense_csv, load_matrix_market, save_dense_csv,
-                     save_matrix_market)
+from .errors import ConfigError, InputError, NumericError
+from .linalg import (load_dense_csv, load_matrix_market, parse_float,
+                     parse_int, row_count, save_dense_csv, save_matrix_market)
 from .regularizers import Regularizer
-from .solver import SolverConfig, StepSizeError, Trace, run_pdd
+from .solver import RegularityError, SolverConfig, Trace, run_pdd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,37 +35,11 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
-class InputError(Exception):
-    """Missing or unreadable input files."""
-
-
 def _bool(text: str) -> bool:
     """``true`` or ``false``, the spellings the echo writes."""
     if text not in ("true", "false"):
         raise ValueError(f"{text!r} is not true or false")
     return text == "true"
-
-
-def _int(text: str) -> int:
-    """An optionally signed run of ASCII digits; int() alone would also
-    take digit-group underscores such as "1_0" and non-ASCII digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-def _float(text: str) -> float:
-    """An ASCII decimal or exponent form, optionally signed, or ``inf``,
-    as the echo writes infinity; float() alone would also take "1_0",
-    non-ASCII digits, "nan" and other spellings of infinity."""
-    if not re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
-                        r"|inf)", text):
-        raise ValueError(f"{text!r} is not a decimal number")
-    return float(text)
 
 
 def _name(text: str) -> str:
@@ -85,7 +61,7 @@ def _keys(prefix: str, cls) -> list[tuple[str, dataclasses.Field]]:
 
 
 # the caster of each annotated field type
-_CASTERS = {bool: _bool, int: _int, float: _float, str: str}
+_CASTERS = {bool: _bool, int: parse_int, float: parse_float, str: str}
 
 
 def _field_keys(prefix: str, cls) -> dict[str, tuple]:
@@ -303,7 +279,7 @@ def _read_index_sets(path: Path, n_cols: int):
     while len(lines) < 2:
         lines.append("")
     try:
-        signal, outlier = ([_int(t) for t in line.split()]
+        signal, outlier = ([parse_int(t) for t in line.split()]
                            for line in lines[:2])
     except ValueError as exc:
         raise ValueError(f"column index {exc}") from None
@@ -367,7 +343,9 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     views = _load_views(cfg)
     # a lone view is a numeric failure, whatever the run dir holds
     if len(views) < 2:
-        raise ValueError(f"metrics needs >= 2 views, got {len(views)}")
+        raise RegularityError(f"metrics needs >= 2 views, got {len(views)}")
+    # the correlations pair each row of one view with the others' rows
+    row_count(views)
     # the trace is scored against the ideal of the run's view count
     paths = _numbered_files(run_dir, "Q_", ".csv", "factor file")
     if len(paths) != len(views):
@@ -472,8 +450,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, StepSizeError, FloatingPointError,
-            ArpackError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

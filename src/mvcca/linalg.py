@@ -10,15 +10,19 @@ and written by scipy.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+from .errors import InputError, NumericError
 
 _ORTHO_TOL = 1e-10
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(NumericError):
     """Raised when a polar factorization input has rank < K."""
 
 
@@ -68,6 +72,16 @@ class SparseView:
         return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}>"
 
 
+def row_count(views) -> int:
+    """The row count all ``views`` share; views that disagree on it raise
+    an :class:`InputError` listing each view's count."""
+    rows = [v.shape[0] for v in views]
+    if any(r != rows[0] for r in rows):
+        raise InputError("views disagree on row count: "
+                         + ", ".join(map(str, rows)))
+    return rows[0]
+
+
 def narrow_columns(view: SparseView, cols) -> SparseView:
     """The view restricted to the sorted column indices ``cols``.
 
@@ -106,7 +120,7 @@ def _as_dense(d, rows_needed: int, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} has {d.shape[0]} rows, expected {rows_needed}")
     if not np.all(np.isfinite(d)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise NumericError(f"{what} contains non-finite values")
     return d
 
 
@@ -141,7 +155,7 @@ def polar_factor(m) -> np.ndarray:
     if l_rows < k:
         raise ValueError("polar input must be square or tall")
     if not np.all(np.isfinite(m)):
-        raise ValueError("polar input contains non-finite values")
+        raise NumericError("polar input contains non-finite values")
 
     evals, vecs = np.linalg.eigh(m.T @ m)
     # comparisons are written so that NaN fails them
@@ -168,10 +182,10 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
     A view that stores no nonzero value gives exactly 0, since X = 0 if
     and only if X^T X = 0.  Otherwise ARPACK runs to machine precision
     on X^T X, or on X X^T when the view has fewer rows than columns, so
-    its Krylov basis holds min(L, M)-long vectors; an ARPACK error
-    propagates.  The start is seeded Gaussian and the value converged,
-    so it does not depend on the seed beyond round-off.  A one-row or
-    one-column view takes one product.
+    its Krylov basis holds min(L, M)-long vectors; an ARPACK error is
+    raised as a :class:`NumericError`.  The start is seeded Gaussian and
+    the value converged, so it does not depend on the seed beyond
+    round-off.  A one-row or one-column view takes one product.
     """
     if not view.raw.data.any():
         return 0.0
@@ -186,15 +200,37 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
 
     if n == 1:
         return float(matvec(np.ones(1))[0])
-    (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
-                     k=1, which="LA", tol=0,
-                     v0=np.random.default_rng(seed).standard_normal(n),
-                     return_eigenvectors=False)
+    try:
+        (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
+                         k=1, which="LA", tol=0,
+                         v0=np.random.default_rng(seed).standard_normal(n),
+                         return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NumericError(f"Lanczos for sigma_max^2 failed: {exc}") from exc
     return float(value)
 
 
 # ---------------------------------------------------------------------------
-# on-disk formats: Matrix Market for sparse views, headerless CSV for dense
+# on-disk formats: Matrix Market for sparse views, headerless CSV for dense,
+# and the ASCII number rules of the text files (config, trace, index sets)
+
+
+def parse_int(text: str) -> int:
+    """An optionally signed run of ASCII digits; int() alone would also
+    take digit-group underscores such as "1_0" and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """An ASCII decimal or exponent form, optionally signed, or ``inf``,
+    as ``%.17g`` writes infinity; float() alone would also take "1_0",
+    non-ASCII digits, "nan" and other spellings of infinity."""
+    if not re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                        r"|inf)", text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 def save_matrix_market(path, view) -> None:

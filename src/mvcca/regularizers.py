@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 KINDS = ("none", "l1", "l21", "elastic_l1", "elastic_l21", "nonneg")
 
 
@@ -89,7 +91,7 @@ def prox(reg: Regularizer, v, tau: float) -> np.ndarray:
         raise ValueError("tau must be > 0")
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
-        raise ValueError("prox input contains non-finite values")
+        raise NumericError("prox input contains non-finite values")
     if reg.kind == "none":
         return v.copy()
     if reg.kind == "nonneg":

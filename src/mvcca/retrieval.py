@@ -19,7 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .linalg import SparseView, spmm_right
+from .errors import InputError
+from .linalg import SparseView, row_count, spmm_right
+from .solver import RegularityError
 
 
 @dataclass(frozen=True)
@@ -243,15 +245,17 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
     scored in one pass over row slabs of about 2**17 distances, run on a
     thread pool with one worker per usable core, so memory is
     O(workers * slab), not n x n.
+
+    Fewer than two views raise the solver's :class:`RegularityError`;
+    views that disagree on the row count, or hold fewer than two rows,
+    raise an :class:`InputError`.
     """
     views = list(test_views)
     if len(views) < 2:
-        raise ValueError("need at least two views")
-    n_rows = views[0].shape[0]
-    if any(v.shape[0] != n_rows for v in views):
-        raise ValueError("test views disagree on row count")
+        raise RegularityError("need at least two views")
+    n_rows = row_count(views)
     if n_rows < 2:
-        raise ValueError("need at least two aligned rows")
+        raise InputError("need at least two aligned rows")
     if len(factors) != len(views):
         raise ValueError(f"got {len(factors)} factors for {len(views)} views")
     ranks = _ordered_ranks([project(v, q) for v, q in zip(views, factors)])

@@ -22,8 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from . import regularizers as rg
+from .errors import NumericError
 from .linalg import (SparseView, inner, narrow_columns, pairwise_inner_sum,
-                     polar_factor, spectral_norm_sq, spmm_left_t, spmm_right)
+                     parse_float, parse_int, polar_factor, row_count,
+                     spectral_norm_sq, spmm_left_t, spmm_right)
 
 logger = logging.getLogger(__name__)
 
@@ -45,15 +47,15 @@ TOL_FEAS = 1e-6
 TOL_CHANGE = 1e-6
 
 
-class RegularityError(ValueError):
+class RegularityError(NumericError):
     """Problem dimensions too small for the constraint system to be regular."""
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(NumericError, RuntimeError):
     """The sub-solver objective increased; the gradient step is mis-tuned."""
 
 
-class EmptyViewError(ValueError):
+class EmptyViewError(NumericError):
     """A view with zero spectral norm cannot drive a gradient step."""
 
 
@@ -141,7 +143,8 @@ class Trace:
                 vals = line.strip().split(",")
                 if len(vals) != len(TRACE_COLUMNS):
                     raise ValueError("malformed trace row")
-                trace.append(TraceRow(int(vals[0]), *map(float, vals[1:])))
+                trace.append(TraceRow(parse_int(vals[0]),
+                                      *map(parse_float, vals[1:])))
         if not trace.rows:
             raise ValueError("trace has no rows")
         return trace
@@ -186,27 +189,25 @@ class SolverState:
 def validate_dimensions(views: Sequence[SparseView], k: int) -> None:
     """Check the dimension conditions that keep the constraint system regular.
 
-    Requires at least two views, the mean feature count and the shared
-    row count to be at least (K+1)/2, and all views to agree on the row
-    count.
+    Requires at least two views, all views to agree on the row count (an
+    :class:`InputError` otherwise), the mean feature count to be at least
+    (K+1)/2, and the shared row count to be at least K, since each G_i is
+    L x K with orthonormal columns.
     """
     views = list(views)
     if len(views) < 2:
         raise RegularityError(
             f"regularity check failed: {len(views)} view(s), need >= 2")
-    l_rows = views[0].shape[0]
-    if any(v.shape[0] != l_rows for v in views):
-        raise ValueError("views disagree on row count")
+    l_rows = row_count(views)
     bound = (k + 1) / 2.0
     mean_cols = sum(v.shape[1] for v in views) / len(views)
     if mean_cols < bound:
         raise RegularityError(
             f"regularity check failed: mean feature count {mean_cols:g} "
             f"< (K+1)/2 = {bound:g}")
-    if l_rows < bound:
+    if l_rows < k:
         raise RegularityError(
-            f"regularity check failed: row count {l_rows} "
-            f"< (K+1)/2 = {bound:g}")
+            f"regularity check failed: row count {l_rows} < K = {k}")
 
 
 def init_random(views: Sequence[SparseView], k: int, seed: int) -> SolverState:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ConfigError
 from .linalg import SparseView, pairwise_inner_sum, spmm_right
 from .solver import Trace
 
@@ -30,7 +31,10 @@ class SynthSpec:
     ``density`` is the target fill of each view; realized fill is kept
     within 20% of it.  ``outliers`` = 0 selects the clean regime.
     ``components`` is validated and echoed, but neither generator reads
-    it: the shared factor has ``features`` columns.
+    it: the shared factor has ``features`` columns.  A spec that no draw
+    can meet, such as a density too small for one entry or one missed
+    by more than 20% after every attempt, makes the generators raise a
+    :class:`ConfigError`.
     """
 
     rows: int
@@ -65,7 +69,7 @@ def _sparse_gaussian(rows: int, cols: int, density: float, rng,
     cells = rows * cols
     nnz = int(round(density * cells))
     if nnz < 1:
-        raise ValueError(
+        raise ConfigError(
             f"density {density:g} infeasibly small for a nonzero "
             f"{rows}x{cols} matrix")
     nnz = min(nnz, cells)
@@ -102,12 +106,12 @@ def _signal_block(shared: sp.csr_matrix, spec: SynthSpec,
         if abs(realized - spec.density) <= _DENSITY_RTOL * spec.density:
             return block, mix
         if realized <= 0.0:
-            raise ValueError("generated view is empty; density infeasible")
+            raise ConfigError("generated view is empty; density infeasible")
         # re-solve 1 - exp(-c p) = density for p using the observed fill
         capped = min(realized, 1.0 - 0.5 / cells)
         c_est = -np.log1p(-capped) / p
         p = min(-np.log1p(-min(spec.density, 1.0 - 0.5 / cells)) / c_est, 1.0)
-    raise ValueError(
+    raise ConfigError(
         f"could not hit density {spec.density:g} within 20% "
         f"after {_MAX_ATTEMPTS} attempts")
 
@@ -165,7 +169,7 @@ def gen_with_outliers(spec: SynthSpec) -> list[SparseView]:
         signal_energy = sp.linalg.norm(signal)
         outlier_energy = sp.linalg.norm(outlier)
         if outlier_energy == 0 or signal_energy == 0:
-            raise ValueError("generated block is empty; density infeasible")
+            raise ConfigError("generated block is empty; density infeasible")
         outlier = outlier * (signal_energy / outlier_energy)
         mat = sp.hstack([signal, outlier]).tocsr()
         if spec.noise_var > 0:

@@ -10,13 +10,16 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import mvcca
 from mvcca.cli import (_BASE_KEYS, COMMANDS, RunConfig, fmt_value, main,
                        parse_config)
 from mvcca import synth
-from mvcca.linalg import load_dense_csv, load_matrix_market, save_matrix_market
+from mvcca.errors import InputError
+from mvcca.linalg import (load_dense_csv, load_matrix_market, save_dense_csv,
+                          save_matrix_market)
 from mvcca.regularizers import Regularizer
 from mvcca.retrieval import HashSpec, hash_corpus
-from mvcca.solver import SolverConfig, Trace
+from mvcca.solver import RegularityError, SolverConfig, Trace
 from mvcca.synth import SynthSpec
 from test_linalg import MALFORMED_MTX
 
@@ -246,6 +249,9 @@ DEGENERATE_SOLVES = {
     "k_at_regularity_bound": ((3, 3), 5, None, 0, ""),
     "k_past_regularity_bound": ((3, 3), 6, None, 3,
                                 "regularity check failed"),
+    # each G_i is 30 x K with orthonormal columns
+    "k_past_row_count": ((16, 16), 31, None, 3,
+                         "regularity check failed: row count 30 < K = 31"),
     "zero_view": ((8, 8), 2, lambda x: x.fill(0.0), 3, "empty view"),
 }
 
@@ -350,6 +356,15 @@ def _edit_lines(path, edit):
     path.write_text("\n".join(edit(lines)) + "\n", encoding="ascii")
 
 
+def _trace_field(index, text):
+    """An edit that sets one field of the trace's first data row."""
+    def edit(lines):
+        fields = lines[1].split(",")
+        fields[index] = text
+        return [lines[0], ",".join(fields)] + lines[2:]
+    return edit
+
+
 # file to corrupt, relative to a directory holding data/ and run/, and
 # how; every case is an input file that fails to parse
 BAD_INPUTS = {
@@ -362,6 +377,12 @@ BAD_INPUTS = {
                                                 for line in ls]),
     "trace_header_only": ("run/trace.csv", lambda ls: ls[:1]),
     "trace_short_row": ("run/trace.csv", lambda ls: ls[:1] + ["0,0"]),
+    # int() reads "1_0" as 10, and float() reads "1_2" as 12 and takes
+    # "nan", which time95 would then report
+    "trace_iter_underscore": ("run/trace.csv", _trace_field(0, "1_0")),
+    "trace_seconds_nan": ("run/trace.csv", _trace_field(1, "nan")),
+    "trace_correlation_underscore": ("run/trace.csv",
+                                     _trace_field(5, "1_2")),
     "index_sets_token": ("data/index_sets.txt", lambda ls: ["0 1 x"]
                          + ls[1:]),
     # int() reads "1_0" as 10
@@ -427,6 +448,15 @@ COMMAND_FAILURES = {
                           "io.factors count must match view count"),
     "hash_no_text": ("hash", "retrieval.bits = 9\n", 2,
                      "hash needs io.text"),
+    # a spec that no draw can meet is a config error
+    "synth_density_infeasible": ("synth", "synth.rows = 5\n"
+                                 "synth.features = 5\nsynth.views = 2\n"
+                                 "synth.density = 1e-9\n", 2,
+                                 "infeasibly small"),
+    "synth_density_missed": ("synth", "synth.rows = 10\n"
+                             "synth.features = 20\nsynth.views = 3\n"
+                             "synth.density = 0.02\n", 2,
+                             "could not hit density 0.02"),
     "data_dir_missing": ("solve", "solver.k = 3\nio.data_dir = {tmp}/nope\n",
                          4, "data directory not found: {tmp}/nope"),
     "data_dir_empty": ("solve", "solver.k = 3\nio.data_dir = {empty}\n", 4,
@@ -468,6 +498,89 @@ class TestOneView:
         assert main(["metrics", "--config", cfg,
                      "--out", str(tmp_path / "report")]) == 3
         assert "needs >= 2 views" in capsys.readouterr().err
+
+
+# a view set a command cannot score or solve: Gaussian views of 8 columns
+# with these row counts, each with an 8 x 2 factor.  A lone view raises
+# the RegularityError that solve's lone view raises (see TestOneView).
+# name: (command, row count per view, error class, exit code, stderr text)
+VIEW_SET_FAILURES = {
+    "metrics_one_view": ("metrics", (40,), RegularityError, 3,
+                         "metrics needs >= 2 views, got 1"),
+    "eval_one_view": ("eval-retrieval", (40,), RegularityError, 3,
+                      "need at least two views"),
+    "solve_rows_disagree": ("solve", (40, 41), InputError, 4,
+                            "views disagree on row count: 40, 41"),
+    "metrics_rows_disagree": ("metrics", (40, 41), InputError, 4,
+                              "views disagree on row count: 40, 41"),
+    "eval_rows_disagree": ("eval-retrieval", (40, 41), InputError, 4,
+                           "views disagree on row count: 40, 41"),
+    "eval_one_row": ("eval-retrieval", (1, 1), InputError, 4,
+                     "need at least two aligned rows"),
+}
+
+
+class TestViewSetFailures:
+    @pytest.mark.parametrize("case", sorted(VIEW_SET_FAILURES))
+    def test_exit_code(self, tmp_path, capsys, case):
+        command, rows, error, code, message = VIEW_SET_FAILURES[case]
+        rng = np.random.default_rng(23)
+        views, factors = [], []
+        for i, n_rows in enumerate(rows):
+            views.append(str(tmp_path / f"view_{i}.mtx"))
+            save_matrix_market(views[-1],
+                               sp.csr_matrix(rng.standard_normal((n_rows, 8))))
+            factors.append(str(tmp_path / f"Q_{i}.csv"))
+            save_dense_csv(factors[-1], rng.standard_normal((8, 2)))
+        given = {"solver.k": "2", "io.views": ",".join(views),
+                 "io.factors": ",".join(factors),
+                 "io.run_dir": str(tmp_path / "run")}
+        cfg = write_cfg(tmp_path / "run.cfg", "".join(
+            f"{key} = {value}\n" for key, value in given.items()))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # the exit code follows the class, which the library raises
+        with pytest.raises(error, match=re.escape(message)):
+            COMMANDS[command][0](RunConfig(given), out)
+
+
+def test_plain_value_error_propagates(solved, tmp_path, monkeypatch):
+    # a ValueError of no documented class is a bug: main does not turn it
+    # into an exit code
+    def broadcast_bug(views, factors):
+        return np.zeros(2) + np.zeros(3)
+
+    monkeypatch.setattr("mvcca.retrieval.evaluate_pairs", broadcast_bug)
+    factors = ",".join(str(solved / "run" / f"Q_{i}.csv") for i in range(3))
+    cfg = write_cfg(tmp_path / "eval.cfg",
+                    f"io.data_dir = {solved / 'data'}\n"
+                    f"io.factors = {factors}\n")
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(["eval-retrieval", "--config", cfg,
+              "--out", str(tmp_path / "eval")])
+
+
+# each public error class and a base it keeps: the CLI's exit code
+# follows NumericError, ConfigError or InputError, and callers that
+# caught ValueError or RuntimeError still catch the same failures
+ERROR_BASES = [
+    *((cls, mvcca.NumericError) for cls in (
+        mvcca.RankDeficiencyError, mvcca.RegularityError,
+        mvcca.EmptyViewError, mvcca.StepSizeError)),
+    *((cls, ValueError) for cls in (
+        mvcca.RankDeficiencyError, mvcca.RegularityError,
+        mvcca.EmptyViewError, mvcca.ConfigError, mvcca.InputError,
+        mvcca.NumericError)),
+    (mvcca.StepSizeError, RuntimeError),
+]
+
+
+@pytest.mark.parametrize("cls, base", ERROR_BASES,
+                         ids=lambda cls: cls.__name__)
+def test_error_class_base(cls, base):
+    assert issubclass(cls, base)
 
 
 class TestMalformedInputs:
