@@ -310,7 +310,13 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
     spec = _from_keys(synth.SynthSpec, "synth", cfg)
     generate = (synth.gen_with_outliers if spec.outliers
                 else synth.gen_shared_factor)
-    views = generate(spec)
+    try:
+        views = generate(spec)
+    except ConfigError as exc:
+        # a spec no draw can meet always misses on its density; the
+        # generator may have failed on a fill derived from it
+        raise ConfigError(
+            f"synth.density = {spec.density:g}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     _drop_numbered_from(out_dir, "view_", ".mtx", len(views))
     for i, view in enumerate(views):

@@ -3,9 +3,10 @@
 A view is a large, very sparse L x M matrix, held in CSR layout exactly
 as given.  Everything downstream (solver updates, metrics, retrieval
 projections) multiplies by it through ``spmm_right`` / ``spmm_left_t``,
-one sparse product each, so the O(nnz * K) cost model holds end to end,
-also in the Lanczos runs for sigma_max^2.  Matrix Market files are read
-and written by scipy.
+one sparse product each, so the O(nnz * K) cost model holds end to end;
+the Lanczos runs for sigma_max^2 multiply single vectors through the
+view's CSR and CSC arrays directly.  Matrix Market files are read and
+written by scipy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .errors import InputError, NumericError
 
 _ORTHO_TOL = 1e-10
+# ARPACK's relative residual tolerance for sigma_max^2 (see spectral_norm_sq)
+_LANCZOS_TOL = 1e-6
 
 
 class RankDeficiencyError(NumericError):
@@ -142,6 +145,9 @@ def polar_factor(m) -> np.ndarray:
     The result maximizes trace(G^T M) over all matrices with
     orthonormal columns.
 
+    A :class:`NumericError` is raised when the Gram matrix is not finite:
+    a non-finite entry of M, or a finite column whose squares overflow,
+    leaves a non-finite diagonal entry, so M itself is never scanned.
     :class:`RankDeficiencyError` is raised when the smallest computed
     Gram eigenvalue is not positive, or when the result still misses
     orthonormality by more than 1e-10 after at most one Newton-Schulz
@@ -154,10 +160,14 @@ def polar_factor(m) -> np.ndarray:
     l_rows, k = m.shape
     if l_rows < k:
         raise ValueError("polar input must be square or tall")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("polar input contains non-finite values")
+    # an overflow is caught by the check that follows, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ m
+    if not np.all(np.isfinite(gram)):
+        raise NumericError("polar input is not finite or its Gram "
+                           "matrix overflows")
 
-    evals, vecs = np.linalg.eigh(m.T @ m)
+    evals, vecs = np.linalg.eigh(gram)
     # comparisons are written so that NaN fails them
     if not evals[0] > 0.0:
         raise RankDeficiencyError("rank-deficient polar input")
@@ -180,29 +190,42 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
     """Largest squared singular value of a view, by Lanczos on its Gram.
 
     A view that stores no nonzero value gives exactly 0, since X = 0 if
-    and only if X^T X = 0.  Otherwise ARPACK runs to machine precision
-    on X^T X, or on X X^T when the view has fewer rows than columns, so
-    its Krylov basis holds min(L, M)-long vectors; an ARPACK error is
-    raised as a :class:`NumericError`.  The start is seeded Gaussian and
-    the value converged, so it does not depend on the seed beyond
-    round-off.  A one-row or one-column view takes one product.
+    and only if X^T X = 0.  Otherwise ARPACK runs on X^T X, or on X X^T
+    when the view has fewer rows than columns, so its Krylov basis holds
+    min(L, M)-long vectors.  It stops once the Ritz estimate of the
+    residual is at most ``_LANCZOS_TOL`` = 1e-6 times the Ritz value.
+    That value is a Rayleigh quotient of the Gram, so it never exceeds
+    sigma_max^2 and falls short by at most 1e-6 * sigma^2; the solver's
+    steps, scaled by ``SAFETY`` = 0.9, stay below the inverse Lipschitz
+    bound for any such estimate.  Each product takes two single-vector
+    sparse products through ``raw`` and ``raw_t``, and only its result
+    is checked: a Gram product that overflows, or an ARPACK error,
+    raises a :class:`NumericError`.  The start is seeded Gaussian, so
+    the value depends on the seed only within the tolerance.  A one-row
+    or one-column view takes one product.
     """
     if not view.raw.data.any():
         return 0.0
     l_rows, m_cols = view.shape
     if m_cols <= l_rows:
-        n, inner, outer = m_cols, spmm_right, spmm_left_t
+        n, inner, outer, gram = m_cols, view.raw, view.raw_t, "X^T X"
     else:
-        n, inner, outer = l_rows, spmm_left_t, spmm_right
+        n, inner, outer, gram = l_rows, view.raw_t, view.raw, "X X^T"
 
     def matvec(v):
-        return outer(view, inner(view, v)).ravel()
+        out = outer @ (inner @ v)
+        # ARPACK's own vectors stay finite while every product it gets does
+        if not np.all(np.isfinite(out)):
+            raise NumericError(f"Gram product {gram} v for sigma_max^2 "
+                               "overflowed: the view's entries are too "
+                               "large")
+        return out
 
     if n == 1:
         return float(matvec(np.ones(1))[0])
     try:
         (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
-                         k=1, which="LA", tol=0,
+                         k=1, which="LA", tol=_LANCZOS_TOL,
                          v0=np.random.default_rng(seed).standard_normal(n),
                          return_eigenvectors=False)
     except ArpackError as exc:

@@ -180,10 +180,13 @@ class SolverState:
 
     def ensure_sigma(self, seed: int) -> None:
         """Cache the squared spectral norm of every view (seeded Lanczos)."""
-        subseeds = np.random.SeedSequence(seed).generate_state(self.num_views)
-        self.sigma_sq = [
-            spectral_norm_sq(v, int(s))
-            for v, s in zip(self.views, subseeds)]
+        self.sigma_sq = _sigma_squares(self.views, seed)
+
+
+def _sigma_squares(views: Sequence[SparseView], seed: int) -> list[float]:
+    """sigma_max^2 of every view, each Lanczos run on its own subseed."""
+    subseeds = np.random.SeedSequence(seed).generate_state(len(views))
+    return [spectral_norm_sq(v, int(s)) for v, s in zip(views, subseeds)]
 
 
 def validate_dimensions(views: Sequence[SparseView], k: int) -> None:
@@ -320,12 +323,13 @@ def lagrangian_value(state: SolverState, regs,
     squares = 0.0
     matched = 0.0
     val = 0.0
+    slack = np.empty_like(sum_p)
     for i in range(n):
         p_i, g_i = state.p[i], state.g[i]
         squares += inner(p_i, p_i) + inner(g_i, g_i)
         matched += inner(p_i, g_i)
         val += 0.5 * rg.penalty_value(regs[i], state.q[i])
-        slack = state.y[i] / rho
+        np.divide(state.y[i], rho, out=slack)
         slack += p_i
         slack -= g_i
         val += 0.5 * rho * inner(slack, slack)
@@ -395,9 +399,10 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
             moved = max(moved, float(np.max(np.abs(new - old))))
         sum_p = _total(state.p)
         for i in range(n):
+            # the old G_i is dropped, so it takes its own move in place
             old = state.g[i]
-            new = update_g(i, state, sum_p)
-            moved = max(moved, float(np.max(np.abs(new - old))))
+            old -= update_g(i, state, sum_p)
+            moved = max(moved, float(np.max(np.abs(old, out=old))))
         sum_g = _total(state.g)
         cur = lagrangian_value(state, regs, sum_p, sum_g)
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
@@ -432,9 +437,11 @@ def run_pdd(views, config: SolverConfig, regs=None):
     once the residual is at most ``TOL_FEAS * L * K`` and a one-sweep
     sub-solve moved no entry by more than ``TOL_CHANGE``.
 
-    Every solve starts from :func:`init_random` at the config seed, where
-    every Q_i is zero.  Every view is narrowed to its columns that store
-    an entry; the other rows of Q_i stay exactly zero, so one sweep costs
+    Every view is narrowed to its columns that store an entry, and the
+    solve starts from :func:`init_random` at the config seed on the
+    narrowed views, where every Q_i is zero, so no product reads a
+    full-width Q_i.  The other rows of Q_i stay exactly zero, so one
+    sweep costs
     O(nnz(X_i) K) sparse work plus O(I L K) and O(M_data_i K) dense work,
     with M_data_i the columns of X_i that hold data.  The solve holds a
     renumbered copy of each view's column indices.  The spectral norms
@@ -450,21 +457,20 @@ def run_pdd(views, config: SolverConfig, regs=None):
     validate_dimensions(views, config.k)
     n = len(views)
     regs = _as_reg_list(regs, n)
-    state = init_random(views, config.k, config.seed)
-    # on the full views: Lanczos on a narrowed view runs on a smaller (or
-    # the other) Gram and moves sigma^2, and so every iterate, by round-off
-    state.ensure_sigma(config.seed)
     # a column that stores no entry (explicit zeros count) gives a zero
     # row in X_i^T(.), and every prox maps a zero row to zero, so a Q_i
     # row there, zero at the start, never moves or enters a product
     kept = []
-    for i, view in enumerate(views):
+    for view in views:
         keep = np.zeros(view.shape[1], dtype=bool)
         keep[view.raw.indices] = True
-        cols = np.flatnonzero(keep)
-        state.views[i] = narrow_columns(view, cols)
-        state.q[i] = state.q[i][cols]
-        kept.append(cols)
+        kept.append(np.flatnonzero(keep))
+    state = init_random([narrow_columns(v, cols)
+                         for v, cols in zip(views, kept)],
+                        config.k, config.seed)
+    # on the full views: Lanczos on a narrowed view runs on a smaller (or
+    # the other) Gram and moves sigma^2, and so every iterate, by round-off
+    state.sigma_sq = _sigma_squares(views, config.seed)
 
     tol_feas = TOL_FEAS * views[0].shape[0] * config.k
     trace = Trace(config.k * n * (n - 1))

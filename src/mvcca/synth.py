@@ -70,8 +70,7 @@ def _sparse_gaussian(rows: int, cols: int, density: float, rng,
     nnz = int(round(density * cells))
     if nnz < 1:
         raise ConfigError(
-            f"density {density:g} infeasibly small for a nonzero "
-            f"{rows}x{cols} matrix")
+            f"density infeasibly small for a nonzero {rows}x{cols} matrix")
     nnz = min(nnz, cells)
     flat = rng.choice(cells, size=nnz, replace=False)
     r, c = np.divmod(flat, cols)

@@ -253,12 +253,15 @@ DEGENERATE_SOLVES = {
     "k_past_row_count": ((16, 16), 31, None, 3,
                          "regularity check failed: row count 30 < K = 31"),
     "zero_view": ((8, 8), 2, lambda x: x.fill(0.0), 3, "empty view"),
+    # X^T X overflows in the first Lanczos product, before ARPACK sees it
+    "gram_overflows": ((6, 6), 2, lambda x: np.multiply(x, 1e200, out=x), 3,
+                       "Gram product X^T X v for sigma_max^2 overflowed"),
 }
 
 
 class TestDegenerateSolves:
     @pytest.mark.parametrize("name", sorted(DEGENERATE_SOLVES))
-    def test_exit_code(self, tmp_path, capsys, name):
+    def test_exit_code(self, tmp_path, capfd, name):
         cols, k, edit, code, message = DEGENERATE_SOLVES[name]
         rng = np.random.default_rng(21)
         paths = []
@@ -274,7 +277,10 @@ class TestDegenerateSolves:
         run_dir = tmp_path / "run"
         assert main(["solve", "--config", cfg,
                      "--out", str(run_dir)]) == code
-        assert message in capsys.readouterr().err
+        # read at the file descriptors, where LAPACK would print too
+        out, err = capfd.readouterr()
+        assert message in err
+        assert "On entry to" not in out + err
         if code == 0:
             for i, m in enumerate(cols):
                 assert load_dense_csv(run_dir / f"Q_{i}.csv").shape == (m, k)
@@ -448,15 +454,18 @@ COMMAND_FAILURES = {
                           "io.factors count must match view count"),
     "hash_no_text": ("hash", "retrieval.bits = 9\n", 2,
                      "hash needs io.text"),
-    # a spec that no draw can meet is a config error
+    # a spec that no draw can meet is a config error, named by the value
+    # given, not by the per-factor fill derived from it
     "synth_density_infeasible": ("synth", "synth.rows = 5\n"
                                  "synth.features = 5\nsynth.views = 2\n"
                                  "synth.density = 1e-9\n", 2,
+                                 "synth.density = 1e-09: density "
                                  "infeasibly small"),
     "synth_density_missed": ("synth", "synth.rows = 10\n"
                              "synth.features = 20\nsynth.views = 3\n"
                              "synth.density = 0.02\n", 2,
-                             "could not hit density 0.02"),
+                             "synth.density = 0.02: could not hit density "
+                             "0.02"),
     "data_dir_missing": ("solve", "solver.k = 3\nio.data_dir = {tmp}/nope\n",
                          4, "data directory not found: {tmp}/nope"),
     "data_dir_empty": ("solve", "solver.k = 3\nio.data_dir = {empty}\n", 4,

@@ -1,12 +1,15 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mvcca import linalg
+from mvcca.errors import NumericError
 from mvcca.linalg import (RankDeficiencyError, SparseView, inner,
                           load_dense_csv, load_matrix_market, narrow_columns,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
@@ -258,6 +261,16 @@ class TestPolarFactor:
         with pytest.raises(ValueError, match="tall"):
             polar_factor(np.ones((2, 3)))
 
+    # the check reads the K x K Gram: a non-finite entry, or a finite one
+    # whose square overflows, leaves a non-finite diagonal entry there
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200],
+                             ids=["inf", "nan", "square_overflows"])
+    def test_non_finite_gram_rejected(self, bad):
+        m = np.random.default_rng(12).standard_normal((6, 2))
+        m[3, 1] = bad
+        with pytest.raises(NumericError, match="not finite"):
+            polar_factor(m)
+
 
 class TestPairwiseInnerSum:
     @pytest.mark.parametrize("n_mats", [2, 10])
@@ -379,6 +392,45 @@ class TestSpectralNorm:
         rng = np.random.default_rng(8)
         view = random_sparse_view(rng, 25, 12, 0.3)
         assert spectral_norm_sq(view, seed=9) == spectral_norm_sq(view, seed=9)
+
+    @pytest.mark.parametrize("shape", [(300, 100), (100, 600)],
+                             ids=["tall", "wide"])
+    def test_tolerance_within_round_off_of_converged(self, monkeypatch,
+                                                     shape):
+        for seed in range(3):
+            view = random_sparse_view(np.random.default_rng(seed), *shape,
+                                      0.05)
+            est = spectral_norm_sq(view, seed=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_LANCZOS_TOL", 0.0)
+                converged = spectral_norm_sq(view, seed=1)
+            assert abs(est - converged) <= 1e-12 * converged
+
+    def test_tall_view_products(self, monkeypatch):
+        # converged to machine precision this view takes 41 Gram
+        # products, two ARPACK restarts; at the tolerance one 20-vector
+        # cycle does
+        products = []
+
+        def counted(op, **kwargs):
+            def matvec(v):
+                products.append(v.size)
+                return op.matvec(v)
+            return eigsh(LinearOperator(op.shape, matvec, dtype=op.dtype),
+                         **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", counted)
+        view = random_sparse_view(np.random.default_rng(0), 300, 100, 0.05)
+        spectral_norm_sq(view, seed=1)
+        assert 0 < len(products) <= 25
+        assert set(products) == {100}
+
+    @pytest.mark.parametrize("shape, gram", [((20, 6), "X^T X"),
+                                             ((6, 20), "X X^T")])
+    def test_overflowing_gram_product(self, shape, gram):
+        x = 1e200 * np.random.default_rng(13).standard_normal(shape)
+        with pytest.raises(NumericError, match=re.escape(gram) + " v"):
+            spectral_norm_sq(SparseView(x))
 
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"

@@ -534,6 +534,21 @@ class TestDataLessColumns:
         data_cols = [v.shape[1] - data_less_columns(v).size for v in views]
         assert widths == [data_cols] * self.CFG.outer_max
 
+    def test_no_product_with_a_full_width_factor(self, monkeypatch):
+        # the start state, P_i = X_i Q_i included, is built on the
+        # narrowed views
+        widths = []
+
+        def recorded(view, dense):
+            widths.append(dense.shape[0])
+            return spmm_right(view, dense)
+
+        monkeypatch.setattr("mvcca.solver.spmm_right", recorded)
+        views = gappy_views(27)
+        run_pdd(views, self.CFG)
+        data_cols = {v.shape[1] - data_less_columns(v).size for v in views}
+        assert widths and set(widths) <= data_cols
+
     def test_views_with_data_in_every_column_narrowed(self, monkeypatch):
         calls = []
 
