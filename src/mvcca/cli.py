@@ -27,7 +27,7 @@ from .errors import ConfigError, InputError, NumericError
 from .linalg import (load_dense_csv, load_matrix_market, parse_float,
                      parse_int, row_count, save_dense_csv, save_matrix_market)
 from .regularizers import Regularizer
-from .solver import RegularityError, SolverConfig, Trace, run_pdd
+from .solver import SolverConfig, Trace, ideal_correlation, run_pdd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -347,10 +347,7 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
         raise ConfigError("metrics needs io.run_dir")
     run_dir = Path(cfg.get("io.run_dir"))
     views = _load_views(cfg)
-    # a lone view is a numeric failure, whatever the run dir holds
-    if len(views) < 2:
-        raise RegularityError(f"metrics needs >= 2 views, got {len(views)}")
-    # the correlations pair each row of one view with the others' rows
+    # a lone view or differing row counts fail whatever the run dir holds
     row_count(views)
     # the trace is scored against the ideal of the run's view count
     paths = _numbered_files(run_dir, "Q_", ".csv", "factor file")
@@ -363,10 +360,8 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     signal, outlier = _read_input(
         Path(cfg.get("io.data_dir")) / "index_sets.txt", "index set file",
         _read_index_sets, min(v.shape[1] for v in views))
-    k = factors[0].shape[1]
-    ideal = k * len(views) * (len(views) - 1)
     trace = _read_input(run_dir / "trace.csv", "trace file", Trace.from_csv,
-                        ideal)
+                        ideal_correlation(factors[0].shape[1], len(views)))
 
     _, percent = synth.total_correlation(views, factors)
     m1 = synth.metric1(views, factors, signal)

@@ -5,7 +5,8 @@ an unknown key, a bad value, or a spec no generator can meet.
 ``InputError`` (exit 4) is an input file that is missing, does not
 parse, or disagrees with the other inputs.  ``NumericError`` (exit 3) is
 a problem the solver cannot solve or an iterate that left the finite
-numbers.  Each is a ``ValueError``.  Any other exception is a bug.
+numbers, and its subclasses below name the kind.  Each is a
+``ValueError``.  Any other exception is a bug.
 """
 
 
@@ -19,3 +20,19 @@ class InputError(ValueError):
 
 class NumericError(ValueError):
     """A degenerate problem or a diverging iterate."""
+
+
+class RegularityError(NumericError):
+    """Fewer than two views, or dimensions too small for a regular system."""
+
+
+class EmptyViewError(NumericError):
+    """A view with zero spectral norm cannot drive a gradient step."""
+
+
+class StepSizeError(NumericError, RuntimeError):
+    """The sub-solver objective increased; the gradient step is mis-tuned."""
+
+
+class RankDeficiencyError(NumericError):
+    """Raised when a polar factorization input has rank < K."""

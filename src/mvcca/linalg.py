@@ -12,21 +12,19 @@ written by scipy.
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import InputError, NumericError
+from .errors import (InputError, NumericError, RankDeficiencyError,
+                     RegularityError)
 
 _ORTHO_TOL = 1e-10
 # ARPACK's relative residual tolerance for sigma_max^2 (see spectral_norm_sq)
 _LANCZOS_TOL = 1e-6
-
-
-class RankDeficiencyError(NumericError):
-    """Raised when a polar factorization input has rank < K."""
 
 
 class SparseView:
@@ -75,13 +73,19 @@ class SparseView:
         return f"<SparseView {l_rows}x{m_cols} nnz={self.nnz}>"
 
 
-def row_count(views) -> int:
-    """The row count all ``views`` share; views that disagree on it raise
-    an :class:`InputError` listing each view's count."""
+def row_count(views, factors=None) -> int:
+    """The row count all ``views`` share, the one check of a view set:
+    SUMCOR pairs views, so fewer than two raise a :class:`RegularityError`,
+    differing row counts an :class:`InputError` listing each, and a count
+    of ``factors``, when given, other than the view count a ValueError."""
     rows = [v.shape[0] for v in views]
+    if len(rows) < 2:
+        raise RegularityError(f"SUMCOR needs >= 2 views, got {len(rows)}")
     if any(r != rows[0] for r in rows):
         raise InputError("views disagree on row count: "
                          + ", ".join(map(str, rows)))
+    if factors is not None and len(factors) != len(rows):
+        raise ValueError(f"got {len(factors)} factors for {len(rows)} views")
     return rows[0]
 
 
@@ -306,7 +310,14 @@ def save_dense_csv(path, arr) -> None:
 
 
 def load_dense_csv(path) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Read a headerless CSV matrix; a file without a row of numbers (empty
+    or blank lines only) or with a non-finite value raises ``ValueError``."""
+    with warnings.catch_warnings():
+        # an empty input is rejected below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if arr.size == 0:
+        raise ValueError(f"no rows in {path}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {path}")
     return arr

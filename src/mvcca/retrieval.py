@@ -21,7 +21,6 @@ from scipy.spatial.distance import cdist
 
 from .errors import InputError
 from .linalg import SparseView, row_count, spmm_right
-from .solver import RegularityError
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,9 @@ def split_rows(n_rows: int, seed: int,
 
     The validation slice is returned but typically unused.
     """
+    # written so that NaN fails
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError("fractions must lie in [0, 1]")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     perm = np.random.default_rng(seed).permutation(n_rows)
@@ -246,18 +248,14 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
     thread pool with one worker per usable core, so memory is
     O(workers * slab), not n x n.
 
-    Fewer than two views raise the solver's :class:`RegularityError`;
-    views that disagree on the row count, or hold fewer than two rows,
-    raise an :class:`InputError`.
+    The views and factors pass :func:`.linalg.row_count`, and fewer
+    than two rows raise an :class:`InputError`; factors of different
+    widths fail in a worker, when their distances are taken.
     """
     views = list(test_views)
-    if len(views) < 2:
-        raise RegularityError("need at least two views")
-    n_rows = row_count(views)
+    n_rows = row_count(views, factors)
     if n_rows < 2:
         raise InputError("need at least two aligned rows")
-    if len(factors) != len(views):
-        raise ValueError(f"got {len(factors)} factors for {len(views)} views")
     ranks = _ordered_ranks([project(v, q) for v, q in zip(views, factors)])
 
     pairs = [PairScore(i, j,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import regularizers as rg
-from .errors import NumericError
+from .errors import EmptyViewError, RegularityError, StepSizeError
 from .linalg import (SparseView, inner, narrow_columns, pairwise_inner_sum,
                      parse_float, parse_int, polar_factor, row_count,
                      spectral_norm_sq, spmm_left_t, spmm_right)
@@ -45,18 +45,6 @@ EPS_DECAY = 0.9
 SAFETY = 0.9
 TOL_FEAS = 1e-6
 TOL_CHANGE = 1e-6
-
-
-class RegularityError(NumericError):
-    """Problem dimensions too small for the constraint system to be regular."""
-
-
-class StepSizeError(NumericError, RuntimeError):
-    """The sub-solver objective increased; the gradient step is mis-tuned."""
-
-
-class EmptyViewError(NumericError):
-    """A view with zero spectral norm cannot drive a gradient step."""
 
 
 @dataclass
@@ -103,6 +91,11 @@ class TraceRow:
     primal_residual: float
     lagrangian: float
     total_correlation: float
+
+
+def ideal_correlation(k: int, n_views: int) -> float:
+    """K*I*(I-1), the total correlation of views projected onto one latent."""
+    return float(k * n_views * (n_views - 1))
 
 
 class Trace:
@@ -192,15 +185,11 @@ def _sigma_squares(views: Sequence[SparseView], seed: int) -> list[float]:
 def validate_dimensions(views: Sequence[SparseView], k: int) -> None:
     """Check the dimension conditions that keep the constraint system regular.
 
-    Requires at least two views, all views to agree on the row count (an
-    :class:`InputError` otherwise), the mean feature count to be at least
-    (K+1)/2, and the shared row count to be at least K, since each G_i is
-    L x K with orthonormal columns.
+    The views pass :func:`.linalg.row_count`; the mean feature count is
+    at least (K+1)/2, and the row count at least K, since each G_i is
+    L x K with orthonormal columns (a :class:`RegularityError` otherwise).
     """
     views = list(views)
-    if len(views) < 2:
-        raise RegularityError(
-            f"regularity check failed: {len(views)} view(s), need >= 2")
     l_rows = row_count(views)
     bound = (k + 1) / 2.0
     mean_cols = sum(v.shape[1] for v in views) / len(views)
@@ -473,7 +462,7 @@ def run_pdd(views, config: SolverConfig, regs=None):
     state.sigma_sq = _sigma_squares(views, config.seed)
 
     tol_feas = TOL_FEAS * views[0].shape[0] * config.k
-    trace = Trace(config.k * n * (n - 1))
+    trace = Trace(ideal_correlation(config.k, n))
 
     def record(r: int, residual: float) -> float:
         # nothing moves before the next sub-solver, whose entry value it is

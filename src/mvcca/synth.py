@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .linalg import SparseView, pairwise_inner_sum, spmm_right
-from .solver import Trace
+from .linalg import SparseView, pairwise_inner_sum, row_count, spmm_right
+from .solver import Trace, ideal_correlation
 
 _DENSITY_RTOL = 0.2
 _MAX_ATTEMPTS = 12
@@ -186,26 +186,23 @@ def total_correlation(views, factors) -> tuple[float, float]:
 
     Raw value is sum over ordered pairs of trace(Q_i^T X_i^T X_j Q_j);
     the percent normalizes by K * I * (I-1), the value reached when all
-    projected views coincide with a shared orthonormal latent matrix,
-    so at least two views are needed.
+    projected views coincide with a shared orthonormal latent matrix.
+    The views and factors pass :func:`.linalg.row_count` first.
     """
+    row_count(views, factors)
     products = [spmm_right(v, q) for v, q in zip(views, factors)]
-    n = len(products)
-    if n < 2:
-        raise ValueError(f"total correlation needs >= 2 views, got {n}")
     k = np.asarray(factors[0]).shape[1]
     raw = 2.0 * pairwise_inner_sum(products)
-    ideal = k * n * (n - 1)
-    return raw, 100.0 * raw / ideal
+    return raw, 100.0 * raw / ideal_correlation(k, len(products))
 
 
 def metric1(views, factors, signal_idx) -> float:
     """Percent of signal-block correlation captured (ideal 100).
 
-    The total correlation percent of the views and factors restricted
-    to the signal columns.  Zeroing the factors' other rows restricts
-    X_i Q_i to X_i[:, S] Q_i[S] without copying any view: each zero row
-    adds only zero terms to the products.
+    The total correlation percent, view set check included, of the views
+    and factors restricted to the signal columns.  Zeroing the factors'
+    other rows restricts X_i Q_i to X_i[:, S] Q_i[S] without copying any
+    view: each zero row adds only zero terms to the products.
     """
     signal_idx = np.asarray(signal_idx, dtype=np.int64)
     if signal_idx.size == 0:

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,10 +504,10 @@ class TestOneView:
                         + f"io.run_dir = {solved / 'run'}\n")
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 3
-        assert "1 view(s), need >= 2" in capsys.readouterr().err
+        assert "SUMCOR needs >= 2 views, got 1" in capsys.readouterr().err
         assert main(["metrics", "--config", cfg,
                      "--out", str(tmp_path / "report")]) == 3
-        assert "needs >= 2 views" in capsys.readouterr().err
+        assert "SUMCOR needs >= 2 views, got 1" in capsys.readouterr().err
 
 
 # a view set a command cannot score or solve: Gaussian views of 8 columns
@@ -515,9 +516,9 @@ class TestOneView:
 # name: (command, row count per view, error class, exit code, stderr text)
 VIEW_SET_FAILURES = {
     "metrics_one_view": ("metrics", (40,), RegularityError, 3,
-                         "metrics needs >= 2 views, got 1"),
+                         "SUMCOR needs >= 2 views, got 1"),
     "eval_one_view": ("eval-retrieval", (40,), RegularityError, 3,
-                      "need at least two views"),
+                      "SUMCOR needs >= 2 views, got 1"),
     "solve_rows_disagree": ("solve", (40, 41), InputError, 4,
                             "views disagree on row count: 40, 41"),
     "metrics_rows_disagree": ("metrics", (40, 41), InputError, 4,
@@ -590,6 +591,21 @@ ERROR_BASES = [
                          ids=lambda cls: cls.__name__)
 def test_error_class_base(cls, base):
     assert issubclass(cls, base)
+    # defined once, in mvcca.errors; a module that exports the name
+    # exports that same object
+    assert cls.__module__ == "mvcca.errors"
+    for module in (mvcca.errors, mvcca.solver, mvcca.linalg):
+        assert getattr(module, cls.__name__, cls) is cls
+
+
+# the homes the classes had before mvcca.errors still import them
+@pytest.mark.parametrize("module, name", [
+    ("solver", "RegularityError"), ("solver", "EmptyViewError"),
+    ("solver", "StepSizeError"), ("linalg", "RankDeficiencyError"),
+    ("linalg", "RegularityError")])
+def test_error_class_old_home(module, name):
+    assert getattr(getattr(mvcca, module), name) is getattr(mvcca.errors,
+                                                             name)
 
 
 class TestMalformedInputs:
@@ -661,6 +677,22 @@ class TestMalformedInputs:
         assert main(["metrics", "--config", cfg,
                      "--out", str(tmp_path / "report")]) == 4
         assert (f"factor file not found: {tmp_path / 'run' / 'Q_1.csv'}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_factor_without_rows(self, solved, tmp_path, capsys, text):
+        # numpy warns on such a file and reads it as a 0 x 1 matrix
+        shutil.copytree(solved / "run", tmp_path / "run")
+        target = tmp_path / "run" / "Q_1.csv"
+        target.write_text(text, encoding="ascii")
+        cfg = write_cfg(tmp_path / "metrics.cfg",
+                        f"io.data_dir = {solved / 'data'}\n"
+                        f"io.run_dir = {tmp_path / 'run'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["metrics", "--config", cfg,
+                         "--out", str(tmp_path / "report")]) == 4
+        assert (f"cannot parse {target}: no rows in {target}"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", FACTOR_CASES)

@@ -253,6 +253,14 @@ class TestSplitRows:
         with pytest.raises(ValueError):
             split_rows(10, seed=0, fractions=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("fractions", [(1.5, -0.5, 0.0),
+                                           (0.5, 0.5, float("nan"))],
+                             ids=["outside", "nan"])
+    def test_fraction_outside_unit_interval(self, fractions):
+        # both sets pass the sum test: 1.0, and NaN compares false
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            split_rows(10, seed=0, fractions=fractions)
+
 
 class TestProject:
     def test_identity(self):

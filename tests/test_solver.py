@@ -66,7 +66,8 @@ class TestValidateDimensions:
     @pytest.mark.parametrize("n_views", [0, 1])
     def test_fewer_than_two_views(self, n_views):
         views = [SparseView(np.ones((100, 50)))] * n_views
-        with pytest.raises(RegularityError, match="need >= 2"):
+        with pytest.raises(RegularityError,
+                           match=f"SUMCOR needs >= 2 views, got {n_views}"):
             validate_dimensions(views, 5)
 
     def test_row_mismatch(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvcca import synth
+from mvcca.errors import InputError, RegularityError
 from mvcca.linalg import SparseView, save_matrix_market
 from mvcca.regularizers import Regularizer
 from mvcca.solver import SolverConfig, Trace, TraceRow, run_pdd
@@ -192,6 +193,39 @@ class TestTotalCorrelation:
                     ref += np.trace(factors[i].T @ dense[i].T
                                     @ dense[j] @ factors[j])
         assert abs(raw - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+# both scores pass their views and factors through the one view-set check
+SCORES = {"total_correlation": lambda views, factors:
+          total_correlation(views, factors)[1],
+          "metric1": lambda views, factors:
+          metric1(views, factors, np.arange(4))}
+
+
+@pytest.mark.parametrize("score", SCORES.values(), ids=SCORES.keys())
+class TestScoredViewSet:
+    def test_fewer_factors_than_views(self, score):
+        # zip would pair off the first two views, scored against their
+        # own two-view ideal
+        rng = np.random.default_rng(24)
+        views = [SparseView(rng.standard_normal((6, 4))) for _ in range(3)]
+        factors = [rng.standard_normal((4, 2)) for _ in range(2)]
+        with pytest.raises(ValueError, match="got 2 factors for 3 views"):
+            score(views, factors)
+
+    def test_row_counts_disagree(self, score):
+        rng = np.random.default_rng(25)
+        views = [SparseView(rng.standard_normal((n, 4))) for n in (6, 7)]
+        factors = [rng.standard_normal((4, 2)) for _ in range(2)]
+        with pytest.raises(InputError,
+                           match="views disagree on row count: 6, 7"):
+            score(views, factors)
+
+    def test_lone_view(self, score):
+        view = SparseView(np.random.default_rng(26).standard_normal((6, 4)))
+        with pytest.raises(RegularityError,
+                           match="SUMCOR needs >= 2 views, got 1"):
+            score([view], [np.eye(4, 2)])
 
 
 class TestMetric1:
