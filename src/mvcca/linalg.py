@@ -23,8 +23,10 @@ from .errors import (InputError, NumericError, RankDeficiencyError,
                      RegularityError)
 
 _ORTHO_TOL = 1e-10
-# ARPACK's relative residual tolerance for sigma_max^2 (see spectral_norm_sq)
-_LANCZOS_TOL = 1e-6
+# ARPACK's relative residual tolerance and Lanczos basis size for
+# sigma_max^2 (see spectral_norm_sq)
+_LANCZOS_TOL = 1e-7
+_LANCZOS_NCV = 10
 
 
 class SparseView:
@@ -196,12 +198,17 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
     A view that stores no nonzero value gives exactly 0, since X = 0 if
     and only if X^T X = 0.  Otherwise ARPACK runs on X^T X, or on X X^T
     when the view has fewer rows than columns, so its Krylov basis holds
-    min(L, M)-long vectors.  It stops once the Ritz estimate of the
-    residual is at most ``_LANCZOS_TOL`` = 1e-6 times the Ritz value.
-    That value is a Rayleigh quotient of the Gram, so it never exceeds
-    sigma_max^2 and falls short by at most 1e-6 * sigma^2; the solver's
-    steps, scaled by ``SAFETY`` = 0.9, stay below the inverse Lipschitz
-    bound for any such estimate.  Each product takes two single-vector
+    min(L, M)-long vectors, ``_LANCZOS_NCV`` = 10 of them.  ARPACK's
+    default basis of 20 builds 21 products before its first convergence
+    test; the basis of 10 tests after 11, and on a hashed text view
+    that is already enough.  It stops once the Ritz estimate of the
+    residual is at most ``_LANCZOS_TOL`` = 1e-7 times the Ritz value,
+    tighter than the step needs, so that the short basis still lands
+    within round-off of the converged value.  That value is a Rayleigh
+    quotient of the Gram, so it never exceeds sigma_max^2 and falls
+    short by at most 1e-7 * sigma^2; the solver's steps, scaled by
+    ``SAFETY`` = 0.9, stay below the inverse Lipschitz bound for any
+    estimate less than 10% short.  Each product takes two single-vector
     sparse products through ``raw`` and ``raw_t``, and only its result
     is checked: a Gram product that overflows, or an ARPACK error,
     raises a :class:`NumericError`.  The start is seeded Gaussian, so
@@ -230,6 +237,7 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
     try:
         (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
                          k=1, which="LA", tol=_LANCZOS_TOL,
+                         ncv=min(n, _LANCZOS_NCV),
                          v0=np.random.default_rng(seed).standard_normal(n),
                          return_eigenvectors=False)
     except ArpackError as exc:

@@ -58,19 +58,22 @@ def penalty_value(reg: Regularizer, q) -> float:
     if reg.kind == "l1":
         return reg.lam * float(np.abs(q).sum())
     if reg.kind == "l21":
-        return reg.lam * _row_norm_sum(q)
+        return reg.lam * float(_row_norms(q).sum())
     if reg.kind == "elastic_l1":
         return (reg.lam * float(np.abs(q).sum())
                 + reg.mu * float((q * q).sum()))
     if reg.kind == "elastic_l21":
-        return reg.lam * _row_norm_sum(q) + reg.mu * float((q * q).sum())
+        return (reg.lam * float(_row_norms(q).sum())
+                + reg.mu * float((q * q).sum()))
     # nonneg: indicator of the nonnegative orthant
     return 0.0 if q.size == 0 or q.min() >= 0.0 else math.inf
 
 
-def _row_norm_sum(q: np.ndarray) -> float:
-    # einsum squares and sums each row without an M x K temporary
-    return float(np.sqrt(np.einsum("ij,ij->i", q, q)).sum())
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, the one row-norm kernel of the penalty
+    and the prox: einsum squares and sums each row without the M x K
+    temporary of ``np.linalg.norm(q, axis=1)``."""
+    return np.sqrt(np.einsum("ij,ij->i", q, q))
 
 
 def _soft_entries(v: np.ndarray, thr: float) -> np.ndarray:
@@ -78,9 +81,15 @@ def _soft_entries(v: np.ndarray, thr: float) -> np.ndarray:
 
 
 def _soft_rows(v: np.ndarray, thr: float) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1)
+    """Row-group soft threshold: each row scaled by max(1 - thr/||row||, 0).
+
+    A row whose norm is at most ``thr`` comes out exactly zero.  An
+    all-zero row gives thr/0 = inf (or 0/0 = NaN when thr = 0), and
+    ``fmax`` maps both -inf and NaN to 0, so it stays +0.0 without a
+    warning.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > thr, 1.0 - thr / np.where(norms > 0, norms, 1.0), 0.0)
+        factor = np.fmax(1.0 - thr / _row_norms(v), 0.0)
     return v * factor[:, None]
 
 

@@ -9,6 +9,7 @@ candidates by Euclidean distance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,9 +48,17 @@ class HashSpec:
         return 1 << self.bits
 
 
+@functools.lru_cache(maxsize=16)
+def _keyed_blake2b(seed: int):
+    # keying runs a full BLAKE2b compression; a copy of the keyed state
+    # skips it, so each seed is keyed once
+    return blake2b(digest_size=9, key=seed.to_bytes(8, "little"))
+
+
 def _token_slot_sign(token: str, spec: HashSpec) -> tuple[int, float]:
-    key = spec.seed.to_bytes(8, "little")
-    digest = blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
+    state = _keyed_blake2b(spec.seed).copy()
+    state.update(token.encode("utf-8"))
+    digest = state.digest()
     slot = int.from_bytes(digest[:8], "little") & (spec.slots - 1)
     sign = 1.0 if digest[8] & 1 else -1.0
     return slot, sign
@@ -65,10 +74,11 @@ def hash_corpus(documents, spec: HashSpec) -> SparseView:
     bag-of-words inner product; an empty document gives the zero row.
 
     The occurrences go into one flat list, each distinct token is hashed
-    once, and every occurrence is mapped to its token's slot and sign by
-    one array lookup.  The CSR is built in one step, and one
-    ``sum_duplicates`` then sorts each row's slots and sums them, so a
-    sum that cancels stays an explicit zero.
+    once from a copy of the seed's keyed BLAKE2b state, and every
+    occurrence is mapped to its token's slot and sign by one array
+    lookup.  The CSR is built in one step, and one ``sum_duplicates``
+    then sorts each row's slots and sums them, so a sum that cancels
+    stays an explicit zero.
     """
     flat: list = []
     indptr = [0]

@@ -434,7 +434,8 @@ def run_pdd(views, config: SolverConfig, regs=None):
     O(nnz(X_i) K) sparse work plus O(I L K) and O(M_data_i K) dense work,
     with M_data_i the columns of X_i that hold data.  The solve holds a
     renumbered copy of each view's column indices.  The spectral norms
-    are those of the full views.
+    are bitwise those of the full views; Lanczos runs on a narrowed
+    view only where that holds (more kept columns than rows).
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The
@@ -457,9 +458,14 @@ def run_pdd(views, config: SolverConfig, regs=None):
     state = init_random([narrow_columns(v, cols)
                          for v, cols in zip(views, kept)],
                         config.k, config.seed)
-    # on the full views: Lanczos on a narrowed view runs on a smaller (or
-    # the other) Gram and moves sigma^2, and so every iterate, by round-off
-    state.sigma_sq = _sigma_squares(views, config.seed)
+    # sigma^2 of the full views: a narrowed view that keeps more columns
+    # than rows has the same Gram X X^T and sums the same terms in the
+    # same order, so Lanczos runs on it and skips the data-less columns;
+    # any other would run on a smaller (or the other) Gram and move
+    # sigma^2, and so every iterate, by round-off
+    state.sigma_sq = _sigma_squares(
+        [nv if nv.shape[1] > nv.shape[0] else v
+         for v, nv in zip(views, state.views)], config.seed)
 
     tol_feas = TOL_FEAS * views[0].shape[0] * config.k
     trace = Trace(ideal_correlation(config.k, n))

@@ -187,13 +187,17 @@ def total_correlation(views, factors) -> tuple[float, float]:
     Raw value is sum over ordered pairs of trace(Q_i^T X_i^T X_j Q_j);
     the percent normalizes by K * I * (I-1), the value reached when all
     projected views coincide with a shared orthonormal latent matrix.
-    The views and factors pass :func:`.linalg.row_count` first.
+    The views and factors pass :func:`.linalg.row_count` first, and
+    factors of different widths raise a ValueError listing each width.
     """
     row_count(views, factors)
     products = [spmm_right(v, q) for v, q in zip(views, factors)]
-    k = np.asarray(factors[0]).shape[1]
+    widths = [p.shape[1] for p in products]
+    if any(w != widths[0] for w in widths):
+        raise ValueError("factors disagree on width: "
+                         + ", ".join(map(str, widths)))
     raw = 2.0 * pairwise_inner_sum(products)
-    return raw, 100.0 * raw / ideal_correlation(k, len(products))
+    return raw, 100.0 * raw / ideal_correlation(widths[0], len(products))
 
 
 def metric1(views, factors, signal_idx) -> float:

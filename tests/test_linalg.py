@@ -15,7 +15,7 @@ from mvcca.linalg import (RankDeficiencyError, SparseView, inner,
                           pairwise_inner_sum, polar_factor, save_dense_csv,
                           save_matrix_market, spectral_norm_sq, spmm_left_t,
                           spmm_right)
-from mvcca.retrieval import evaluate_pairs
+from mvcca.retrieval import HashSpec, evaluate_pairs, hash_corpus
 from mvcca.solver import (EmptyViewError, SolverConfig, init_random, run_pdd,
                           step_size)
 from mvcca.synth import SynthSpec, gen_shared_factor, metric1, \
@@ -408,8 +408,8 @@ class TestSpectralNorm:
 
     def test_tall_view_products(self, monkeypatch):
         # converged to machine precision this view takes 41 Gram
-        # products, two ARPACK restarts; at the tolerance one 20-vector
-        # cycle does
+        # products with ARPACK's default 20-vector basis; at the
+        # tolerance a few cycles of the 10-vector basis do
         products = []
 
         def counted(op, **kwargs):
@@ -424,6 +424,30 @@ class TestSpectralNorm:
         spectral_norm_sq(view, seed=1)
         assert 0 < len(products) <= 25
         assert set(products) == {100}
+
+    def test_wide_hashed_view_products(self, monkeypatch):
+        # 200 hashed documents over 4 096 slots: Lanczos runs on X X^T,
+        # where ARPACK's default 20-vector basis takes 21 products and
+        # the 10-vector basis reaches the tolerance in its first cycle
+        products = []
+
+        def counted(op, **kwargs):
+            def matvec(v):
+                products.append(v.size)
+                return op.matvec(v)
+            return eigsh(LinearOperator(op.shape, matvec, dtype=op.dtype),
+                         **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", counted)
+        rng = np.random.default_rng(0)
+        weights = 1.0 / np.arange(1, 2001)
+        docs = [[f"w{t}" for t in rng.choice(2000, size=30,
+                                              p=weights / weights.sum())]
+                for _ in range(200)]
+        view = hash_corpus(docs, HashSpec(bits=12, seed=3))
+        spectral_norm_sq(view, seed=1)
+        assert 0 < len(products) <= 15
+        assert set(products) == {200}
 
     @pytest.mark.parametrize("shape, gram", [((20, 6), "X^T X"),
                                              ((6, 20), "X X^T")])

@@ -139,3 +139,19 @@ class TestProx:
                                 for row in v]))
         zero = prox(reg, np.zeros((1, 3)), tau=0.9)
         assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
+
+    @pytest.mark.parametrize("kind", ["l21", "elastic_l21"])
+    def test_row_group_edge_rows(self, kind):
+        # a row on the threshold (||(3, 4)|| = 5 = tau * lam / 2) and an
+        # all-zero row come out exactly zero, with no divide or invalid
+        # warning (warnings are errors here); the rows beside them match
+        # the scan oracle
+        v = np.array([[3.0, 4.0], [0.0, 0.0], [-6.0, 8.0], [0.5, -0.2]])
+        for lam in (10.0, 0.0):
+            reg = Regularizer(kind, lam=lam, mu=0.5)
+            out = prox(reg, v, tau=1.0)
+            ref = prox_bruteforce(kind, v, 1.0, lam, 0.5)
+            assert np.abs(out - ref).max() <= 1e-6
+            assert np.all(out[1] == 0.0) and not np.any(np.signbit(out[1]))
+            if lam:
+                assert np.all(out[[0, 3]] == 0.0)

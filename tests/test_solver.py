@@ -509,10 +509,12 @@ class TestDataLessColumns:
     def _reg(kind):
         return rg.Regularizer(kind, lam=0.05, mu=0.1)
 
-    # wide views narrow to fewer columns than rows, where sigma^2 of the
-    # narrowed views would come from the other Gram
-    @pytest.mark.parametrize("shape", [(40, 25, 6), (20, 30, 12)],
-                             ids=["tall", "wide"])
+    # the wide views narrow to fewer columns than rows, where sigma^2 of
+    # the narrowed views would come from the other Gram; the wider ones
+    # keep more columns than rows, and Lanczos runs on them narrowed
+    @pytest.mark.parametrize("shape", [(40, 25, 6), (20, 30, 12),
+                                       (20, 60, 20)],
+                             ids=["tall", "wide", "wide_after_narrowing"])
     @pytest.mark.parametrize("kind", rg.KINDS)
     def test_matches_full_width_solve(self, kind, shape):
         # both solves narrow their views; the oracle stores an entry in
@@ -549,6 +551,26 @@ class TestDataLessColumns:
         run_pdd(views, self.CFG)
         data_cols = {v.shape[1] - data_less_columns(v).size for v in views}
         assert widths and set(widths) <= data_cols
+
+    def test_sigma_of_the_full_views(self, monkeypatch):
+        # Lanczos runs on a narrowed view only while it keeps more columns
+        # than rows, where its Gram is the full view's X X^T; sigma^2 is
+        # bitwise the full view's either way
+        views = gappy_views(28, 2, 20, 60, 20) + gappy_views(29, 1, 20, 30,
+                                                             12)
+        want = solver._sigma_squares(views, self.CFG.seed)
+        shapes = []
+
+        def recorded(view, seed=0):
+            shapes.append(view.shape)
+            return spectral_norm_sq(view, seed)
+
+        monkeypatch.setattr("mvcca.solver.spectral_norm_sq", recorded)
+        state, _ = run_pdd(views, self.CFG)
+        data_cols = [v.shape[1] - data_less_columns(v).size for v in views]
+        assert data_cols[0] > 20 and data_cols[2] < 20
+        assert shapes == [(20, data_cols[0]), (20, data_cols[1]), (20, 30)]
+        assert state.sigma_sq == want
 
     def test_views_with_data_in_every_column_narrowed(self, monkeypatch):
         calls = []

@@ -227,6 +227,15 @@ class TestScoredViewSet:
                            match="SUMCOR needs >= 2 views, got 1"):
             score([view], [np.eye(4, 2)])
 
+    def test_factor_widths_disagree(self, score):
+        # numpy's broadcast error would name shapes but no factor
+        rng = np.random.default_rng(27)
+        views = [SparseView(rng.standard_normal((6, 4))) for _ in range(3)]
+        factors = [rng.standard_normal((4, k)) for k in (2, 2, 3)]
+        with pytest.raises(ValueError,
+                           match="factors disagree on width: 2, 2, 3"):
+            score(views, factors)
+
 
 class TestMetric1:
     def test_reduces_to_total_correlation_without_outliers(self):
