@@ -91,38 +91,35 @@ def row_count(views, factors=None) -> int:
     return rows[0]
 
 
-def narrow_columns(view: SparseView, cols) -> SparseView:
-    """The view restricted to the sorted column indices ``cols``.
+def narrow_columns(view: SparseView) -> tuple[SparseView, np.ndarray]:
+    """The view restricted to its columns that store an entry, and those
+    columns' sorted indices.
 
-    ``cols`` must hold every column that stores an entry, so no entry is
-    dropped: the narrowed view shares ``data`` and ``indptr`` with
-    ``view`` and copies only the renumbered column indices.  Products
-    with it sum the same terms in the same order as products with
-    ``view`` on the matching rows, so they are bitwise equal.
+    An explicit zero counts as an entry, so no entry is dropped: the
+    narrowed view shares ``data`` and ``indptr`` with ``view`` and
+    copies only the renumbered column indices.  Products with it sum the
+    same terms in the same order as products with ``view`` on the
+    matching rows, so they are bitwise equal.
     """
     raw = view.raw
-    cols = np.asarray(cols)
-    if cols.ndim != 1 or np.any(np.diff(cols) <= 0) \
-            or (cols.size and cols[0] < 0):
-        raise ValueError("columns must be strictly increasing from 0")
-    renumber = np.full(raw.shape[1], -1, dtype=raw.indices.dtype)
+    keep = np.zeros(raw.shape[1], dtype=bool)
+    keep[raw.indices] = True
+    cols = np.flatnonzero(keep)
+    # only kept columns are looked up, so the others need no value
+    renumber = np.empty(raw.shape[1], dtype=raw.indices.dtype)
     renumber[cols] = np.arange(cols.size)
-    indices = renumber[raw.indices]
-    if np.any(indices < 0):
-        raise ValueError("narrowing would drop stored entries")
     narrowed = SparseView.__new__(SparseView)
     # built without the constructor's copy and checks: the entries are
     # the view's own, already validated
-    narrowed.raw = sp.csr_matrix((raw.data, indices, raw.indptr),
+    narrowed.raw = sp.csr_matrix((raw.data, renumber[raw.indices],
+                                  raw.indptr),
                                  shape=(raw.shape[0], cols.size), copy=False)
     narrowed.raw_t = narrowed.raw.T
-    return narrowed
+    return narrowed, cols
 
 
 def _as_dense(d, rows_needed: int, what: str) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[:, None]
     if d.ndim != 2:
         raise ValueError(f"{what} must be a matrix")
     if d.shape[0] != rows_needed:
@@ -345,15 +342,22 @@ def inner(a, b) -> float:
     return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
 
 
+def sum_blocks(mats) -> np.ndarray:
+    """Sum of equally shaped blocks, accumulated in list order."""
+    acc = mats[0].copy()
+    for m in mats[1:]:
+        acc += m
+    return acc
+
+
 def pairwise_inner_sum(mats) -> float:
     """Sum of <A_i, A_j> over unordered pairs i < j.
 
     Uses sum_{i<j} <A_i, A_j> = (||sum_i A_i||^2 - sum_i ||A_i||^2) / 2,
     so one pass over the matrices replaces the loop over pairs.
     """
-    total = np.zeros_like(mats[0], dtype=np.float64)
     squares = 0.0
     for a in mats:
-        total += a
         squares += inner(a, a)
+    total = sum_blocks(mats)
     return 0.5 * (inner(total, total) - squares)

@@ -25,7 +25,7 @@ from . import regularizers as rg
 from .errors import EmptyViewError, RegularityError, StepSizeError
 from .linalg import (SparseView, inner, narrow_columns, pairwise_inner_sum,
                      parse_float, parse_int, polar_factor, row_count,
-                     spectral_norm_sq, spmm_left_t, spmm_right)
+                     spectral_norm_sq, spmm_left_t, spmm_right, sum_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -188,6 +188,9 @@ def validate_dimensions(views: Sequence[SparseView], k: int) -> None:
     The views pass :func:`.linalg.row_count`; the mean feature count is
     at least (K+1)/2, and the row count at least K, since each G_i is
     L x K with orthonormal columns (a :class:`RegularityError` otherwise).
+    :func:`run_pdd` checks the views narrowed to their data columns, so
+    the feature count is that of the columns its sweeps see, and a view
+    set that stores no entry at all fails with a mean of 0.
     """
     views = list(views)
     l_rows = row_count(views)
@@ -210,14 +213,6 @@ def init_random(views: Sequence[SparseView], k: int, seed: int) -> SolverState:
     q = [np.zeros((v.shape[1], k)) for v in views]
     y = [np.zeros((l_rows, k)) for _ in views]
     return SolverState(views, q, g, y)
-
-
-def _total(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of all view blocks, accumulated in ascending view order."""
-    acc = mats[0].copy()
-    for m in mats[1:]:
-        acc += m
-    return acc
 
 
 def grad_q(i: int, state: SolverState, sum_g: np.ndarray) -> np.ndarray:
@@ -301,9 +296,9 @@ def lagrangian_value(state: SolverState, regs,
     """
     regs = _as_reg_list(regs, state.num_views)
     if sum_p is None:
-        sum_p = _total(state.p)
+        sum_p = sum_blocks(state.p)
     if sum_g is None:
-        sum_g = _total(state.g)
+        sum_g = sum_blocks(state.g)
     # the ordered-pair coupling sum_{i!=j} ||P_i - G_j||^2 / 2 expands to
     # ((I-1) sum_i (||P_i||^2 + ||G_i||^2)) / 2
     #     - (<sum P, sum G> - sum_i <P_i, G_i>),
@@ -376,7 +371,7 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
     alphas = [step_size(i, state) for i in range(n)]
     # each pass reads one total, formed while its blocks are frozen; the
     # objective reads both, and the G total carries into the next sweep
-    sum_g = _total(state.g)
+    sum_g = sum_blocks(state.g)
     prev = start if start is not None else lagrangian_value(
         state, regs, sum_g=sum_g)
     for sweep in range(1, max_sweeps + 1):
@@ -386,13 +381,13 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
             old = state.q[i]
             new = update_q(i, state, regs[i], alphas[i], sum_g)
             moved = max(moved, float(np.max(np.abs(new - old))))
-        sum_p = _total(state.p)
+        sum_p = sum_blocks(state.p)
         for i in range(n):
             # the old G_i is dropped, so it takes its own move in place
             old = state.g[i]
             old -= update_g(i, state, sum_p)
             moved = max(moved, float(np.max(np.abs(old, out=old))))
-        sum_g = _total(state.g)
+        sum_g = sum_blocks(state.g)
         cur = lagrangian_value(state, regs, sum_p, sum_g)
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
             raise StepSizeError(
@@ -406,7 +401,7 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
 
 
 def _widen(state: SolverState, views: list[SparseView],
-           kept: list[np.ndarray]) -> None:
+           kept: Sequence[np.ndarray]) -> None:
     """Undo :func:`run_pdd`'s narrowing: zero rows back into every Q_i."""
     for i, cols in enumerate(kept):
         full = np.zeros((views[i].shape[1], state.k))
@@ -426,13 +421,16 @@ def run_pdd(views, config: SolverConfig, regs=None):
     once the residual is at most ``TOL_FEAS * L * K`` and a one-sweep
     sub-solve moved no entry by more than ``TOL_CHANGE``.
 
-    Every view is narrowed to its columns that store an entry, and the
-    solve starts from :func:`init_random` at the config seed on the
+    The view set passes :func:`.linalg.row_count` first.  Then
+    :func:`.linalg.narrow_columns` narrows every view to its columns
+    that store an entry, and the narrowed views pass
+    :func:`validate_dimensions`, so its bounds count only those columns.
+    The solve starts from :func:`init_random` at the config seed on the
     narrowed views, where every Q_i is zero, so no product reads a
     full-width Q_i.  The other rows of Q_i stay exactly zero, so one
-    sweep costs
-    O(nnz(X_i) K) sparse work plus O(I L K) and O(M_data_i K) dense work,
-    with M_data_i the columns of X_i that hold data.  The solve holds a
+    sweep costs O(nnz(X_i) K) sparse work plus O(I L K) and
+    O(M_data_i K) dense work, with M_data_i the columns of X_i that
+    hold data.  The solve holds a
     renumbered copy of each view's column indices.  The spectral norms
     are bitwise those of the full views; Lanczos runs on a narrowed
     view only where that holds (more kept columns than rows).
@@ -444,20 +442,15 @@ def run_pdd(views, config: SolverConfig, regs=None):
     """
     start = time.perf_counter()
     views = list(views)
-    validate_dimensions(views, config.k)
-    n = len(views)
-    regs = _as_reg_list(regs, n)
+    l_rows = row_count(views)
     # a column that stores no entry (explicit zeros count) gives a zero
     # row in X_i^T(.), and every prox maps a zero row to zero, so a Q_i
     # row there, zero at the start, never moves or enters a product
-    kept = []
-    for view in views:
-        keep = np.zeros(view.shape[1], dtype=bool)
-        keep[view.raw.indices] = True
-        kept.append(np.flatnonzero(keep))
-    state = init_random([narrow_columns(v, cols)
-                         for v, cols in zip(views, kept)],
-                        config.k, config.seed)
+    narrowed, kept = zip(*map(narrow_columns, views))
+    validate_dimensions(narrowed, config.k)
+    n = len(views)
+    regs = _as_reg_list(regs, n)
+    state = init_random(narrowed, config.k, config.seed)
     # sigma^2 of the full views: a narrowed view that keeps more columns
     # than rows has the same Gram X X^T and sums the same terms in the
     # same order, so Lanczos runs on it and skips the data-less columns;
@@ -465,9 +458,9 @@ def run_pdd(views, config: SolverConfig, regs=None):
     # sigma^2, and so every iterate, by round-off
     state.sigma_sq = _sigma_squares(
         [nv if nv.shape[1] > nv.shape[0] else v
-         for v, nv in zip(views, state.views)], config.seed)
+         for v, nv in zip(views, narrowed)], config.seed)
 
-    tol_feas = TOL_FEAS * views[0].shape[0] * config.k
+    tol_feas = TOL_FEAS * l_rows * config.k
     trace = Trace(ideal_correlation(config.k, n))
 
     def record(r: int, residual: float) -> float:

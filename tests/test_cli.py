@@ -286,6 +286,22 @@ class TestDegenerateSolves:
             for i, m in enumerate(cols):
                 assert load_dense_csv(run_dir / f"Q_{i}.csv").shape == (m, k)
 
+    def test_regularity_counts_data_columns(self, tmp_path, capfd):
+        # 100 columns each, but only the 2 that hold data reach the sweeps
+        rng = np.random.default_rng(22)
+        paths = []
+        for i in range(2):
+            x = np.zeros((30, 100))
+            x[:, [3, 71]] = rng.standard_normal((30, 2))
+            paths.append(tmp_path / f"view_{i}.mtx")
+            save_matrix_market(paths[-1], sp.csr_matrix(x))
+        cfg = write_cfg(tmp_path / "solve.cfg", "solver.k = 5\n"
+                        f"io.views = {','.join(map(str, paths))}\n")
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert ("regularity check failed: mean feature count 2 "
+                "< (K+1)/2 = 3") in capfd.readouterr().err
+
 
 class TestMetricsCommand:
     def test_report_written(self, tmp_path, synth_dir):
@@ -325,6 +341,25 @@ class TestMetricsCommand:
         # the outlier columns follow the 40 signal columns
         assert fields[2] == fmt_value(synth.metric2(factors,
                                                     np.arange(40, 50)))
+
+    def test_signal_line_only(self, solved, tmp_path):
+        # an index set file of one line, without its newline, has no
+        # outlier columns: the report of the synth's own file, metric2 empty
+        data = tmp_path / "data"
+        shutil.copytree(solved / "data", data)
+        lines = (data / "index_sets.txt").read_text().splitlines()
+        assert lines[1:] == [""]
+        (data / "index_sets.txt").write_text(lines[0], encoding="ascii")
+        reports = []
+        for data_dir in (solved / "data", data):
+            out = tmp_path / f"report_{len(reports)}"
+            assert main(["metrics", "--config", write_cfg(
+                tmp_path / "metrics.cfg",
+                f"io.data_dir = {data_dir}\nio.run_dir = {solved / 'run'}\n"),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.csv").read_text())
+        assert reports[1] == reports[0]
+        assert reports[1].splitlines()[1].split(",")[2] == ""
 
     def test_missing_inputs(self, tmp_path, synth_dir):
         metrics_cfg = write_cfg(
@@ -383,6 +418,9 @@ BAD_INPUTS = {
     "factor_width": ("run/Q_1.csv", lambda ls: [line.rsplit(",", 1)[0]
                                                 for line in ls]),
     "trace_header_only": ("run/trace.csv", lambda ls: ls[:1]),
+    # "unexpected trace header": the rows below it would still parse
+    "trace_header_renamed": ("run/trace.csv", lambda ls: [
+        ls[0].replace("iter", "iteration")] + ls[1:]),
     "trace_short_row": ("run/trace.csv", lambda ls: ls[:1] + ["0,0"]),
     # int() reads "1_0" as 10, and float() reads "1_2" as 12 and takes
     # "nan", which time95 would then report

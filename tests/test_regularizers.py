@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mvcca.errors import NumericError
 from mvcca.regularizers import KINDS, Regularizer, penalty_value, prox
 
 from oracles import prox_bruteforce, prox_objective
@@ -65,6 +66,12 @@ class TestProx:
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError, match="tau"):
             prox(Regularizer("l1", lam=1.0), np.zeros((2, 2)), tau=0.0)
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(NumericError, match="prox input contains "
+                           "non-finite values"):
+            prox(Regularizer("l1", lam=1.0), np.array([[np.nan, 0.0]]),
+                 tau=1.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_bruteforce_minimizer(self, kind):

@@ -138,6 +138,12 @@ class TestStepSize:
         with pytest.raises(EmptyViewError, match="empty view"):
             step_size(0, state)
 
+    def test_sigma_not_cached(self):
+        state = self._state_with_sigma([1.0, 1.0])
+        state.sigma_sq = None
+        with pytest.raises(RuntimeError, match="spectral norms not cached"):
+            step_size(0, state)
+
 
 class TestUpdateQ:
     def test_zero_gradient_fixed_point(self):
@@ -334,6 +340,11 @@ class TestRunSubsolver:
         state = random_state(rng)
         with pytest.raises(StepSizeError, match="step size violation"):
             run_subsolver(state, eps_r=1e-300, max_sweeps=10)
+
+    def test_accuracy_must_be_positive(self):
+        state = aligned_state()
+        with pytest.raises(ValueError, match="eps_r must be > 0"):
+            run_subsolver(state, eps_r=0.0, max_sweeps=1)
 
 
 class TestRunPdd:
@@ -575,9 +586,10 @@ class TestDataLessColumns:
     def test_views_with_data_in_every_column_narrowed(self, monkeypatch):
         calls = []
 
-        def counted(view, cols):
+        def counted(view):
+            narrowed, cols = narrow_columns(view)
             calls.append(cols.size == view.shape[1])
-            return narrow_columns(view, cols)
+            return narrowed, cols
 
         monkeypatch.setattr("mvcca.solver.narrow_columns", counted)
         rng = np.random.default_rng(26)
@@ -607,6 +619,24 @@ class TestDataLessColumns:
         views[1] = SparseView(empty)
         with pytest.raises(EmptyViewError, match="empty view"):
             run_pdd(views, self.CFG)
+
+    def test_no_data_in_any_view(self):
+        # every view narrows to no column, so the mean feature count is 0
+        views = [SparseView(sp.csr_matrix((40, 25))) for _ in range(2)]
+        with pytest.raises(RegularityError, match="mean feature count 0 "):
+            run_pdd(views, self.CFG)
+
+    def test_regularity_counts_data_columns(self):
+        # 100 columns each, but the sweeps see only the 2 that hold data
+        rng = np.random.default_rng(30)
+        views = []
+        for _ in range(2):
+            x = np.zeros((30, 100))
+            x[:, [7, 42]] = rng.standard_normal((30, 2))
+            views.append(SparseView(x))
+        with pytest.raises(RegularityError,
+                           match=r"mean feature count 2 < \(K\+1\)/2 = 3"):
+            run_pdd(views, replace(self.CFG, k=5))
 
 
 # the fixed-penalty ADMM baseline: one sweep and a dual step per cycle
@@ -692,6 +722,12 @@ class TestLagrangianValue:
                                 penalty)
         assert abs(lagrangian_value(state, regs) - ref) \
             <= 1e-10 * max(1.0, abs(ref))
+
+    def test_regularizer_count_checked(self):
+        state = random_state(np.random.default_rng(19), n_views=3)
+        with pytest.raises(ValueError,
+                           match="got 2 regularizers for 3 views"):
+            lagrangian_value(state, [rg.NONE] * 2)
 
 
 class TestInitRandom:

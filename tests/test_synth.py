@@ -35,6 +35,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SynthSpec(rows=10, features=5, views=2, seed=-1)
 
+    def test_negative_outliers(self):
+        with pytest.raises(ValueError, match="outliers must be >= 0"):
+            SynthSpec(rows=10, features=5, views=2, outliers=-1)
+
     @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
     def test_bad_noise_var(self, value):
         with pytest.raises(ValueError, match="noise_var must be finite"):
