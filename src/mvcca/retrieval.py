@@ -111,11 +111,12 @@ def split_rows(n_rows: int, seed: int,
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     perm = np.random.default_rng(seed).permutation(n_rows)
+    # the cut points are rounded, not the slice sizes, so a zero
+    # fraction never gets a row that its neighbours both rounded away
     n_train = int(round(fractions[0] * n_rows))
-    n_test = int(round(fractions[1] * n_rows))
-    return (np.sort(perm[:n_train]),
-            np.sort(perm[n_train:n_train + n_test]),
-            np.sort(perm[n_train + n_test:]))
+    n_kept = int(round((fractions[0] + fractions[1]) * n_rows))
+    return (np.sort(perm[:n_train]), np.sort(perm[n_train:n_kept]),
+            np.sort(perm[n_kept:]))
 
 
 def project(view: SparseView, factor) -> np.ndarray:

@@ -171,10 +171,6 @@ class SolverState:
     def k(self) -> int:
         return self.g[0].shape[1]
 
-    def ensure_sigma(self, seed: int) -> None:
-        """Cache the squared spectral norm of every view (seeded Lanczos)."""
-        self.sigma_sq = _sigma_squares(self.views, seed)
-
 
 def _sigma_squares(views: Sequence[SparseView], seed: int) -> list[float]:
     """sigma_max^2 of every view, each Lanczos run on its own subseed."""
@@ -238,7 +234,7 @@ def step_size(i: int, state: SolverState) -> float:
     alpha = SAFETY / ((I-1+rho) * sigma_max^2(X_i)).
     """
     if state.sigma_sq is None:
-        raise RuntimeError("spectral norms not cached; call ensure_sigma")
+        raise RuntimeError("spectral norms not cached; set state.sigma_sq")
     sigma = state.sigma_sq[i]
     if sigma <= 0.0:
         raise EmptyViewError("empty view")
@@ -333,8 +329,6 @@ def dual_or_penalty_step(state: SolverState, residual: float,
             state.y[i] += state.rho * (state.p[i] - state.g[i])
         return True
     state.rho = state.rho / C
-    logger.debug("penalty raised to %.6g (residual %.3g > %.3g)",
-                 state.rho, residual, eta_r)
     return False
 
 
@@ -431,9 +425,8 @@ def run_pdd(views, config: SolverConfig, regs=None):
     sweep costs O(nnz(X_i) K) sparse work plus O(I L K) and
     O(M_data_i K) dense work, with M_data_i the columns of X_i that
     hold data.  The solve holds a
-    renumbered copy of each view's column indices.  The spectral norms
-    are bitwise those of the full views; Lanczos runs on a narrowed
-    view only where that holds (more kept columns than rows).
+    renumbered copy of each view's column indices.  sigma^2 is computed
+    once per view, by Lanczos on the caller's view.
 
     Returns the final state (factors Q_i, latents G_i, duals Y_i) and
     the per-iteration trace.  Deterministic given the config seed.  The
@@ -451,14 +444,7 @@ def run_pdd(views, config: SolverConfig, regs=None):
     n = len(views)
     regs = _as_reg_list(regs, n)
     state = init_random(narrowed, config.k, config.seed)
-    # sigma^2 of the full views: a narrowed view that keeps more columns
-    # than rows has the same Gram X X^T and sums the same terms in the
-    # same order, so Lanczos runs on it and skips the data-less columns;
-    # any other would run on a smaller (or the other) Gram and move
-    # sigma^2, and so every iterate, by round-off
-    state.sigma_sq = _sigma_squares(
-        [nv if nv.shape[1] > nv.shape[0] else v
-         for v, nv in zip(views, narrowed)], config.seed)
+    state.sigma_sq = _sigma_squares(views, config.seed)
 
     tol_feas = TOL_FEAS * l_rows * config.k
     trace = Trace(ideal_correlation(config.k, n))

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import re
 import shutil
 import subprocess
@@ -235,6 +237,23 @@ class TestSolveCommand:
         np.testing.assert_array_equal(trace.column("rho"),
                                       np.full(len(trace), 2.0))
 
+    def test_verbose_reports_the_stop(self, tmp_path):
+        # two identical orthonormal views stop early; --verbose sets INFO,
+        # and the console script is run, since in process the test
+        # runner's log handlers would keep basicConfig from acting
+        x = np.linalg.qr(np.random.default_rng(0).standard_normal(
+            (12, 8)))[0]
+        path = tmp_path / "view.mtx"
+        save_matrix_market(path, sp.csr_matrix(x))
+        cfg = write_cfg(tmp_path / "solve.cfg",
+                        f"solver.k = 3\nsolver.seed = 1\n"
+                        f"io.views = {path},{path}\n")
+        out = str(tmp_path / "run")
+        code, _, err = run_cli("solve", "--config", cfg, "--out", out,
+                               "--verbose")
+        assert code == 0 and "converged at outer iteration" in err
+        assert run_cli("solve", "--config", cfg, "--out", out) == (0, "", "")
+
 
 def _zero_row_and_column(x):
     x[4] = 0.0
@@ -465,6 +484,16 @@ def solved(tmp_path_factory):
         root / "solve.cfg", SOLVE_CFG.format(data_dir=data)),
                  "--out", str(run)]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def help_text():
+    """``mvcca --help`` as printed, taken once for the module."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "--config" in out.getvalue()
+    return out.getvalue()
 
 
 # documented failures of a command's config or inputs, each ending before
@@ -1148,15 +1177,17 @@ class TestKeysMirrorDataclasses:
     # spelling: abbreviations of --config, --out and --verbose fail
     @pytest.mark.parametrize("flag", ["--threads 2", "--seed 3",
                                       "--conf {cfg}", "--ou {out}", "--verb"])
-    def test_threads_flag_rejected(self, tmp_path, synth_dir, flag):
+    def test_threads_flag_rejected(self, tmp_path, solved, help_text, capsys,
+                                   flag):
         cfg = write_cfg(tmp_path / "solve.cfg",
-                        SOLVE_CFG.format(data_dir=synth_dir))
+                        SOLVE_CFG.format(data_dir=solved / "data"))
         out = tmp_path / "run"
         flag = flag.format(cfg=cfg, out=out)
-        code, _, err = run_cli("solve", "--config", cfg, "--out", str(out),
-                               *flag.split())
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cfg, "--out", str(out),
+                  *flag.split()])
+        assert exc.value.code == 2
         name = flag.split()[0]
-        assert name in err
+        assert name in capsys.readouterr().err
         # not listed as a flag of its own: "--conf" is part of "--config"
-        assert not re.search(rf"{name}\b", run_cli("--help")[1])
+        assert not re.search(rf"{name}\b", help_text)

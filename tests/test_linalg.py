@@ -8,7 +8,7 @@ import scipy.io
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from mvcca import linalg
+from mvcca import linalg, solver
 from mvcca.errors import NumericError
 from mvcca.linalg import (RankDeficiencyError, SparseView, inner,
                           load_dense_csv, load_matrix_market, narrow_columns,
@@ -370,7 +370,7 @@ class TestSpectralNorm:
         zero = SparseView(sp.csr_matrix((4, 3)))
         assert spectral_norm_sq(zero) == 0.0
         state = init_random([zero, SparseView(np.eye(4))], 1, seed=0)
-        state.ensure_sigma(seed=0)
+        state.sigma_sq = solver._sigma_squares(state.views, 0)
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
             step_size(0, state)
@@ -392,7 +392,7 @@ class TestSpectralNorm:
         assert flat.nnz == 0
         assert spectral_norm_sq(flat) == 0.0
         state = init_random([flat, SparseView(np.eye(4))], 1, seed=0)
-        state.ensure_sigma(seed=0)
+        state.sigma_sq = solver._sigma_squares(state.views, 0)
         assert state.sigma_sq[0] == 0.0
         with pytest.raises(EmptyViewError):
             step_size(0, state)

@@ -243,6 +243,14 @@ class TestSplitRows:
         combined = np.sort(np.concatenate([train, test, val]))
         np.testing.assert_array_equal(combined, np.arange(100))
 
+    @pytest.mark.parametrize("n_rows", [5, 9])
+    def test_zero_fraction_gets_no_row(self, n_rows):
+        # half of an odd count is x.5 on both sides of the cut
+        train, test, val = split_rows(n_rows, seed=0,
+                                      fractions=(0.5, 0.5, 0.0))
+        assert val.size == 0
+        assert train.size + test.size == n_rows
+
     def test_deterministic(self):
         a = split_rows(50, seed=5)
         b = split_rows(50, seed=5)

@@ -32,7 +32,7 @@ def random_state(rng, n_views=3, l_rows=10, k=2, seed=0):
         state.q[i] = rng.standard_normal(state.q[i].shape)
         state.p[i] = spmm_right(views[i], state.q[i])
         state.y[i] = rng.standard_normal((l_rows, k))
-    state.ensure_sigma(seed)
+    state.sigma_sq = solver._sigma_squares(state.views, seed)
     return state
 
 
@@ -44,7 +44,7 @@ def aligned_state(l_rows=6, k=2, n_views=2, seed=0):
     state = SolverState(views, [g0.copy() for _ in range(n_views)],
                         [g0.copy() for _ in range(n_views)],
                         [np.zeros((l_rows, k)) for _ in range(n_views)])
-    state.ensure_sigma(seed)
+    state.sigma_sq = solver._sigma_squares(state.views, seed)
     return state
 
 
@@ -327,7 +327,7 @@ class TestRunSubsolver:
         state = random_state(np.random.default_rng(16))
         if fresh:
             state = init_random(state.views, state.k, seed=1)
-            state.ensure_sigma(0)
+            state.sigma_sq = solver._sigma_squares(state.views, 0)
         before = [a.copy() for a in state.q + state.g]
         run_subsolver(state, eps_r=1e-300, max_sweeps=1)
         blocks = zip(state.q + state.g, before)
@@ -520,9 +520,8 @@ class TestDataLessColumns:
     def _reg(kind):
         return rg.Regularizer(kind, lam=0.05, mu=0.1)
 
-    # the wide views narrow to fewer columns than rows, where sigma^2 of
-    # the narrowed views would come from the other Gram; the wider ones
-    # keep more columns than rows, and Lanczos runs on them narrowed
+    # the tall views stay tall; the wide views narrow to fewer columns
+    # than rows, and the wider ones keep more columns than rows
     @pytest.mark.parametrize("shape", [(40, 25, 6), (20, 30, 12),
                                        (20, 60, 20)],
                              ids=["tall", "wide", "wide_after_narrowing"])
@@ -563,24 +562,24 @@ class TestDataLessColumns:
         data_cols = {v.shape[1] - data_less_columns(v).size for v in views}
         assert widths and set(widths) <= data_cols
 
-    def test_sigma_of_the_full_views(self, monkeypatch):
-        # Lanczos runs on a narrowed view only while it keeps more columns
-        # than rows, where its Gram is the full view's X X^T; sigma^2 is
-        # bitwise the full view's either way
+    def test_sigma_once_per_caller_view(self, monkeypatch):
+        # views that stay wide after narrowing and views that do not both
+        # go to Lanczos as the caller passed them, once each
         views = gappy_views(28, 2, 20, 60, 20) + gappy_views(29, 1, 20, 30,
                                                              12)
         want = solver._sigma_squares(views, self.CFG.seed)
-        shapes = []
+        seen = []
 
         def recorded(view, seed=0):
-            shapes.append(view.shape)
+            seen.append(view)
             return spectral_norm_sq(view, seed)
 
         monkeypatch.setattr("mvcca.solver.spectral_norm_sq", recorded)
         state, _ = run_pdd(views, self.CFG)
         data_cols = [v.shape[1] - data_less_columns(v).size for v in views]
         assert data_cols[0] > 20 and data_cols[2] < 20
-        assert shapes == [(20, data_cols[0]), (20, data_cols[1]), (20, 30)]
+        assert len(seen) == len(views)
+        assert all(got is view for got, view in zip(seen, views))
         assert state.sigma_sq == want
 
     def test_views_with_data_in_every_column_narrowed(self, monkeypatch):
