@@ -436,9 +436,22 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    # the package logger gets a stderr handler of its own for this call,
+    # so --verbose acts whatever logging a host program or an earlier
+    # call set up, and the root logger is left alone
+    log = logging.getLogger(__package__)
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+
+
+def _run(args) -> int:
     try:
         cfg = parse_config(Path(args.config))
         run, echo, prefixes = COMMANDS[args.command]

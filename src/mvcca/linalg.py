@@ -11,6 +11,7 @@ written by scipy.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 
@@ -292,26 +293,41 @@ def load_matrix_market(path) -> SparseView:
     return SparseView(scipy.io.mmread(path))
 
 
-# rows formatted per write: the whole matrix in one call would hold every
-# entry as a Python float and its text at once
+# rows formatted per write: the text of one block is held at once
 _CSV_BLOCK_ROWS = 4096
 
 
 def save_dense_csv(path, arr) -> None:
-    """Write a dense matrix as headerless CSV at full double precision.
+    """Write a dense matrix as headerless CSV, one line per row.
 
-    The bytes are those of ``np.savetxt(path, arr, fmt="%.17g",
-    delimiter=",")``, formatted one block of rows per call instead of
-    one row per call.
+    Each value is the shortest text that parses back to the same
+    float64, sign of zero included, as written by scipy's Matrix Market
+    writer, the one :func:`save_matrix_market` uses: each block of
+    ``_CSV_BLOCK_ROWS`` rows goes out as an in-memory "array" file of
+    the block's transpose, one value per line, whose header is dropped
+    and whose line breaks within a row become commas.  The spelling
+    (such as ``1E-1`` for 0.1) may vary with the scipy version; the
+    values do not.
     """
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a matrix")
-    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    k = arr.shape[1]
+    with open(path, "wb") as fh:
         for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
-            block = arr[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            buf = io.BytesIO()
+            # column-major "array" order of the transpose is row order
+            scipy.io.mmwrite(buf, arr[start:start + _CSV_BLOCK_ROWS].T)
+            text = bytearray(buf.getbuffer())
+            # the banner and comment lines start with "%", then the size
+            pos = 0
+            while text.startswith(b"%", pos):
+                pos = text.index(b"\n", pos) + 1
+            body = np.frombuffer(text, dtype=np.uint8)[
+                text.index(b"\n", pos) + 1:]
+            breaks = np.flatnonzero(body == ord("\n"))
+            body[breaks.reshape(-1, k)[:, :-1]] = ord(",")
+            fh.write(body)
 
 
 def load_dense_csv(path) -> np.ndarray:

@@ -162,6 +162,8 @@ class SolverState:
         self.rho = RHO0 if rho is None else float(rho)
         self.sigma_sq: list[float] | None = None
         self.moved = np.inf  # largest move of any Q_i or G_i in a sweep
+        # <G_i, A_i> at each view's last G update (see update_g)
+        self.coupling = [np.nan] * len(self.views)
 
     @property
     def num_views(self) -> int:
@@ -259,14 +261,17 @@ def update_g(i: int, state: SolverState, sum_p: np.ndarray) -> np.ndarray:
     """Closest-orthonormal update of G_i from the fresh product caches.
 
     The minimizer over orthonormal G of the block objective is the
-    polar factor of sum_{j!=i} P_j + rho P_i + Y_i at ``state.rho``.
-    ``sum_p`` is the total of all P blocks, formed once per sweep by the
-    caller.
+    polar factor of the aggregate A_i = sum_{j!=i} P_j + rho P_i + Y_i
+    at ``state.rho``.  ``sum_p`` is the total of all P blocks, formed
+    once per sweep by the caller.  The new G_i's coupling <G_i, A_i>,
+    its share of the coupling term of :func:`lagrangian_value`, is kept
+    in ``state.coupling[i]`` for the sub-solver's descent check.
     """
     agg = (state.rho - 1.0) * state.p[i]
     agg += sum_p
     agg += state.y[i]
     state.g[i] = polar_factor(agg)
+    state.coupling[i] = inner(state.g[i], agg)
     return state.g[i]
 
 
@@ -280,41 +285,40 @@ def primal_residual(state: SolverState) -> float:
 
 
 def lagrangian_value(state: SolverState, regs,
-                     sum_p: np.ndarray | None = None,
-                     sum_g: np.ndarray | None = None) -> float:
+                     coupling: float | None = None) -> float:
     """Augmented Lagrangian the sub-solver descends (traced and checked).
 
-    The penalty weight is ``state.rho``.  The coupling is summed over
-    ordered view pairs, as in the updates.
-    Penalties enter at half weight, 1/2 * sum_i r_i(Q_i), because the
-    prox has no 1/2 on its quadratic (see :mod:`.regularizers`).  The
-    totals of all P and G blocks are formed here when omitted.
+    With penalty weight rho = ``state.rho``, the sum over ordered view
+    pairs of ||P_i - G_j||^2 / 2, the penalty terms and the duals expand
+    to one scalar formula,
+
+        1/2 sum_i r_i(Q_i) + (I-1+rho)/2 sum_i (||P_i||^2 + ||G_i||^2)
+            + sum_i <Y_i, P_i> + sum_i ||Y_i||^2 / (2 rho)
+            - sum_i <G_i, A_i>,
+
+    with A_i = (rho-1) P_i + sum_j P_j + Y_i, the aggregate whose polar
+    factor :func:`update_g` takes.  Penalties enter at half weight
+    because the prox has no 1/2 on its quadratic (see
+    :mod:`.regularizers`).  ``coupling`` is sum_i <G_i, A_i> when the
+    caller has it, as the sub-solver has after a sweep's G updates;
+    otherwise it is formed here as
+    <sum G, sum P> + (rho-1) sum_i <G_i, P_i> + sum_i <G_i, Y_i>.
+    Either way one pass over the views costs O(I L K), not O(I^2 L K).
     """
-    regs = _as_reg_list(regs, state.num_views)
-    if sum_p is None:
-        sum_p = sum_blocks(state.p)
-    if sum_g is None:
-        sum_g = sum_blocks(state.g)
-    # the ordered-pair coupling sum_{i!=j} ||P_i - G_j||^2 / 2 expands to
-    # ((I-1) sum_i (||P_i||^2 + ||G_i||^2)) / 2
-    #     - (<sum P, sum G> - sum_i <P_i, G_i>),
-    # so one pass over the views costs O(I L K) instead of O(I^2 L K)
     n, rho = state.num_views, state.rho
+    regs = _as_reg_list(regs, n)
+    if coupling is None:
+        coupling = inner(sum_blocks(state.g), sum_blocks(state.p))
+        for p_i, g_i, y_i in zip(state.p, state.g, state.y):
+            coupling += (rho - 1.0) * inner(g_i, p_i) + inner(g_i, y_i)
     squares = 0.0
-    matched = 0.0
     val = 0.0
-    slack = np.empty_like(sum_p)
     for i in range(n):
-        p_i, g_i = state.p[i], state.g[i]
-        squares += inner(p_i, p_i) + inner(g_i, g_i)
-        matched += inner(p_i, g_i)
-        val += 0.5 * rg.penalty_value(regs[i], state.q[i])
-        np.divide(state.y[i], rho, out=slack)
-        slack += p_i
-        slack -= g_i
-        val += 0.5 * rho * inner(slack, slack)
-    cross = inner(sum_p, sum_g) - matched
-    return val + 0.5 * (n - 1) * squares - cross
+        p_i, y_i = state.p[i], state.y[i]
+        squares += inner(p_i, p_i) + inner(state.g[i], state.g[i])
+        val += (0.5 * rg.penalty_value(regs[i], state.q[i])
+                + inner(y_i, p_i) + inner(y_i, y_i) / (2.0 * rho))
+    return val + 0.5 * (n - 1 + rho) * squares - coupling
 
 
 def dual_or_penalty_step(state: SolverState, residual: float,
@@ -363,26 +367,28 @@ def run_subsolver(state: SolverState, eps_r: float, max_sweeps: int,
     n = state.num_views
     regs = _as_reg_list(regs, n)
     alphas = [step_size(i, state) for i in range(n)]
+    prev = start if start is not None else lagrangian_value(state, regs)
     # each pass reads one total, formed while its blocks are frozen; the
-    # objective reads both, and the G total carries into the next sweep
+    # G total carries into the next sweep
     sum_g = sum_blocks(state.g)
-    prev = start if start is not None else lagrangian_value(
-        state, regs, sum_g=sum_g)
     for sweep in range(1, max_sweeps + 1):
-        # the updates rebind Q_i and G_i, so the old block is still at hand
+        # the updates rebind Q_i and G_i, so the old block is still at
+        # hand; a move is max |d|, taken as max(max d, -min d)
         moved = 0.0
         for i in range(n):
             old = state.q[i]
-            new = update_q(i, state, regs[i], alphas[i], sum_g)
-            moved = max(moved, float(np.max(np.abs(new - old))))
+            d = update_q(i, state, regs[i], alphas[i], sum_g) - old
+            moved = max(moved, float(d.max()), -float(d.min()))
         sum_p = sum_blocks(state.p)
         for i in range(n):
             # the old G_i is dropped, so it takes its own move in place
-            old = state.g[i]
-            old -= update_g(i, state, sum_p)
-            moved = max(moved, float(np.max(np.abs(old, out=old))))
+            d = state.g[i]
+            d -= update_g(i, state, sum_p)
+            moved = max(moved, float(d.max()), -float(d.min()))
         sum_g = sum_blocks(state.g)
-        cur = lagrangian_value(state, regs, sum_p, sum_g)
+        # every G_i was updated from this sweep's P blocks, so the
+        # couplings update_g kept are those of the current state
+        cur = lagrangian_value(state, regs, sum(state.coupling))
         if cur > prev + 1e-9 * max(1.0, abs(prev)):
             raise StepSizeError(
                 f"step size violation: sub-solver objective rose "

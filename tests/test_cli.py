@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import logging
 import re
 import shutil
 import subprocess
@@ -237,10 +238,10 @@ class TestSolveCommand:
         np.testing.assert_array_equal(trace.column("rho"),
                                       np.full(len(trace), 2.0))
 
-    def test_verbose_reports_the_stop(self, tmp_path):
-        # two identical orthonormal views stop early; --verbose sets INFO,
-        # and the console script is run, since in process the test
-        # runner's log handlers would keep basicConfig from acting
+    def test_verbose_reports_the_stop(self, tmp_path, capsys):
+        # two identical orthonormal views stop early; --verbose sets INFO
+        # for that call only, in one process whose test runner has its
+        # own log handlers, and its line is printed once
         x = np.linalg.qr(np.random.default_rng(0).standard_normal(
             (12, 8)))[0]
         path = tmp_path / "view.mtx"
@@ -249,10 +250,17 @@ class TestSolveCommand:
                         f"solver.k = 3\nsolver.seed = 1\n"
                         f"io.views = {path},{path}\n")
         out = str(tmp_path / "run")
-        code, _, err = run_cli("solve", "--config", cfg, "--out", out,
-                               "--verbose")
-        assert code == 0 and "converged at outer iteration" in err
-        assert run_cli("solve", "--config", cfg, "--out", out) == (0, "", "")
+        root = list(logging.getLogger().handlers)
+        errs = []
+        for flags in ([], ["--verbose"], []):
+            assert main(["solve", "--config", cfg, "--out", out,
+                         *flags]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[2] == ""
+        assert errs[1].count("converged at outer iteration") == 1
+        # no handler stacks up, and the root logger is left alone
+        assert logging.getLogger("mvcca").handlers == []
+        assert logging.getLogger().handlers == root
 
 
 def _zero_row_and_column(x):

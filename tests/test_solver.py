@@ -722,6 +722,28 @@ class TestLagrangianValue:
         assert abs(lagrangian_value(state, regs) - ref) \
             <= 1e-10 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("n_views", [2, 3, 10])
+    @pytest.mark.parametrize("kind", rg.KINDS)
+    def test_sweep_coupling_matches_standalone(self, monkeypatch, kind,
+                                               n_views):
+        # a sweep's value takes sum_i <G_i, A_i> from the G updates; the
+        # standalone value forms it from the blocks of the same state
+        state = random_state(np.random.default_rng(21), n_views=n_views)
+        state.rho = 1.7
+        reg = rg.Regularizer(kind, lam=0.3, mu=0.2)
+        values = []
+
+        def recorded(*args, **kwargs):
+            values.append((args, lagrangian_value(*args, **kwargs)))
+            return values[-1][1]
+
+        monkeypatch.setattr(solver, "lagrangian_value", recorded)
+        run_subsolver(state, eps_r=1e-300, max_sweeps=1, regs=reg)
+        (entry_args, _), (sweep_args, sweep) = values
+        assert len(entry_args) == 2 and sweep_args[2] is not None
+        ref = lagrangian_value(state, reg)
+        assert abs(sweep - ref) <= 1e-12 * abs(ref)
+
     def test_regularizer_count_checked(self):
         state = random_state(np.random.default_rng(19), n_views=3)
         with pytest.raises(ValueError,
