@@ -6,9 +6,8 @@ from .linalg import (SparseView, load_dense_csv, load_matrix_market,
                      polar_factor, save_dense_csv, save_matrix_market,
                      spectral_norm_sq, spmm_left_t, spmm_right)
 from .regularizers import Regularizer, penalty_value, prox
-from .retrieval import (HashSpec, RetrievalResult, aroc, cross_distances,
-                        evaluate_pairs, hash_corpus, nn_freq, project,
-                        split_rows)
+from .retrieval import (HashSpec, RetrievalResult, cross_distances,
+                        evaluate_pairs, hash_corpus, project, split_rows)
 from .solver import (SolverConfig, SolverState, Trace, init_random,
                      lagrangian_value, primal_residual, run_pdd,
                      run_subsolver, validate_dimensions)

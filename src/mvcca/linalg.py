@@ -209,9 +209,11 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
     estimate less than 10% short.  Each product takes two single-vector
     sparse products through ``raw`` and ``raw_t``, and only its result
     is checked: a Gram product that overflows, or an ARPACK error,
-    raises a :class:`NumericError`.  The start is seeded Gaussian, so
-    the value depends on the seed only within the tolerance.  A one-row
-    or one-column view takes one product.
+    raises a :class:`NumericError`.  So does a view whose every squared
+    entry underflows to 0 (entries below about 1e-162), whose Gram
+    products vanish.  The start is seeded Gaussian, so the value depends
+    on the seed only within the tolerance.  A one-row or one-column view
+    takes one product.
     """
     if not view.raw.data.any():
         return 0.0
@@ -230,8 +232,14 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
                                "large")
         return out
 
+    underflow = ("every squared entry of the view underflows to 0, so its "
+                 "Gram products vanish: the view's entries are too small")
     if n == 1:
-        return float(matvec(np.ones(1))[0])
+        # the product is the sum of the squared entries
+        value = float(matvec(np.ones(1))[0])
+        if value == 0.0:
+            raise NumericError(underflow)
+        return value
     try:
         (value,) = eigsh(LinearOperator((n, n), matvec, dtype=np.float64),
                          k=1, which="LA", tol=_LANCZOS_TOL,
@@ -239,6 +247,8 @@ def spectral_norm_sq(view: SparseView, seed: int = 0) -> float:
                          v0=np.random.default_rng(seed).standard_normal(n),
                          return_eigenvectors=False)
     except ArpackError as exc:
+        if not np.square(view.raw.data).any():
+            raise NumericError(underflow) from exc
         raise NumericError(f"Lanczos for sigma_max^2 failed: {exc}") from exc
     return float(value)
 
@@ -284,13 +294,18 @@ def load_matrix_market(path) -> SparseView:
     integer, pattern, symmetric, ...) are rejected.  Comment lines are
     skipped, explicit zeros are kept, and a wrong entry count, an
     out-of-range index, a duplicate entry or a non-finite value raises
-    ``ValueError``.
+    ``ValueError``, and so does a size or an index past the 64-bit range,
+    which scipy's reader reports as an ``OverflowError``.
     """
-    kind = scipy.io.mminfo(path)[3:]
-    if kind != ("coordinate", "real", "general"):
-        raise ValueError(
-            "unsupported Matrix Market header: " + " ".join(kind))
-    return SparseView(scipy.io.mmread(path))
+    try:
+        kind = scipy.io.mminfo(path)[3:]
+        if kind != ("coordinate", "real", "general"):
+            raise ValueError(
+                "unsupported Matrix Market header: " + " ".join(kind))
+        matrix = scipy.io.mmread(path)
+    except OverflowError as exc:
+        raise ValueError(f"a size or an index out of range: {exc}") from exc
+    return SparseView(matrix)
 
 
 # rows formatted per write: the text of one block is held at once

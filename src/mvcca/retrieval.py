@@ -147,13 +147,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _match_ranks(distances: np.ndarray) -> np.ndarray:
-    # 1-based rank of each row's true match, the candidate in the same
-    # column as the row; it is placed before equal-distance competitors
-    true = np.diagonal(distances)
-    return 1 + (distances < true[:, None]).sum(axis=1)
-
-
 def _ordered_ranks(projections) -> dict[tuple[int, int], np.ndarray]:
     """Match ranks for every ordered pair of row-aligned projections.
 
@@ -200,36 +193,12 @@ def _ordered_ranks(projections) -> dict[tuple[int, int], np.ndarray]:
     return ranks
 
 
-def _square(distances) -> np.ndarray:
-    d = np.asarray(distances, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square and row-aligned")
-    return d
-
-
 def _aroc_percent(ranks, n_rows: int):
     return (1.0 - (ranks - 1) / (n_rows - 1)) * 100.0
 
 
 def _nn_percent(ranks) -> float:
     return float(100.0 * np.mean(ranks == 1))
-
-
-def aroc(distances, query: int) -> float:
-    """Rank-based retrieval accuracy for one query row, in percent.
-
-    100 when the true match is nearest, 0 when it ranks last; linear in
-    the rank in between.  Requires at least two candidates.
-    """
-    d = _square(distances)
-    if d.shape[0] < 2:
-        raise ValueError("need at least two rows for a rank percentage")
-    return float(_aroc_percent(_match_ranks(d)[query], d.shape[0]))
-
-
-def nn_freq(distances) -> float:
-    """Percent of query rows whose true match ranks first."""
-    return _nn_percent(_match_ranks(_square(distances)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +222,13 @@ def evaluate_pairs(test_views, factors) -> RetrievalResult:
     """Score cross-view retrieval for every ordered pair of views.
 
     All test views must list the same entities in the same row order.
-    For each pair (i, j) the rows of view i query the gallery of view j;
-    the pair's AROC is the mean over queries.  Each unordered pair is
+    For each pair (i, j) the rows of view i query the gallery of view j.
+    A query's rank is 1 plus the number of gallery rows strictly closer
+    than its true match (the gallery row of the same index), so a tie
+    goes to the true match.  Its AROC is 100 * (1 - (rank - 1) / (n - 1))
+    percent: 100 when the true match is nearest, 0 when it ranks last.
+    The pair's AROC is the mean over queries, and its NN frequency the
+    percent of queries of rank 1.  Each unordered pair is
     scored in one pass over row slabs of about 2**17 distances, run on a
     thread pool with one worker per usable core, so memory is
     O(workers * slab), not n x n.

@@ -15,6 +15,7 @@ nonconvex problem.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -22,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import regularizers as rg
-from .errors import EmptyViewError, RegularityError, StepSizeError
+from .errors import (EmptyViewError, NumericError, RegularityError,
+                     StepSizeError)
 from .linalg import (SparseView, inner, narrow_columns, pairwise_inner_sum,
                      parse_float, parse_int, polar_factor, row_count,
                      spectral_norm_sq, spmm_left_t, spmm_right, sum_blocks)
@@ -233,14 +235,21 @@ def step_size(i: int, state: SolverState) -> float:
     """Inverse Lipschitz bound for the block-i gradient, times ``SAFETY``.
 
     The smooth block Hessian is (I-1+rho) X_i^T X_i at ``state.rho``, so
-    alpha = SAFETY / ((I-1+rho) * sigma_max^2(X_i)).
+    alpha = SAFETY / ((I-1+rho) * sigma_max^2(X_i)).  A sigma_max^2 so
+    small that alpha overflows (a subnormal one, from entries below
+    about 1e-155) raises a :class:`NumericError`.
     """
     if state.sigma_sq is None:
         raise RuntimeError("spectral norms not cached; set state.sigma_sq")
     sigma = state.sigma_sq[i]
     if sigma <= 0.0:
         raise EmptyViewError("empty view")
-    return SAFETY / ((state.num_views - 1 + state.rho) * sigma)
+    alpha = SAFETY / ((state.num_views - 1 + state.rho) * sigma)
+    if not math.isfinite(alpha):
+        raise NumericError(f"the step size of view {i} overflows at "
+                           f"sigma_max^2 = {sigma:.3g}: the view's entries "
+                           "are too small")
+    return alpha
 
 
 def update_q(i: int, state: SolverState, reg: rg.Regularizer, alpha: float,

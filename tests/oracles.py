@@ -7,9 +7,11 @@ verify.
 """
 
 from hashlib import blake2b
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
 
 def materialize(view):
@@ -172,3 +174,29 @@ def pairwise_inner_loop(mats):
                 for c in range(a.shape[1]):
                     total += a[r, c] * b[r, c]
     return total
+
+
+def match_ranks(query, gallery):
+    """1-based rank of each query row's true match, the gallery row of
+    the same index, over the full n x n distance matrix.
+
+    Each row counts, one candidate at a time, the gallery rows strictly
+    closer than its true match, so one at an equal distance ranks behind
+    it.
+    """
+    d = cdist(query, gallery)
+    n = d.shape[0]
+    return np.array([1 + sum(d[r, c] < d[r, r] for c in range(n))
+                     for r in range(n)])
+
+
+def retrieval_scores(projections):
+    """(AROC, NN frequency) percent for every ordered pair of row-aligned
+    projections: the rank maps linearly from 1 (100%) to n (0%)."""
+    n = projections[0].shape[0]
+    scores = {}
+    for i, j in permutations(range(len(projections)), 2):
+        ranks = match_ranks(projections[i], projections[j])
+        scores[i, j] = (100.0 * float(np.sum(n - ranks)) / (n * (n - 1)),
+                        100.0 * float(np.sum(ranks == 1)) / n)
+    return scores

@@ -14,16 +14,15 @@ import pytest
 
 import mvcca.regularizers as rg
 from mvcca.linalg import SparseView
-from mvcca.retrieval import (HashSpec, aroc, evaluate_pairs, hash_corpus,
-                             nn_freq)
+from mvcca.retrieval import HashSpec, hash_corpus
 from mvcca.solver import (SolverConfig, SolverState, grad_q,
                           lagrangian_value, run_pdd, run_subsolver, update_g)
 from mvcca.synth import (SynthSpec, gen_shared_factor, gen_with_outliers,
                          metric1, metric2, total_correlation)
 
 from oracles import (fd_gradient, materialize, prox_bruteforce,
-                     random_stiefel, smooth_block_objective)
-from test_retrieval import bow_vector
+                     random_stiefel, retrieval_scores, smooth_block_objective)
+from test_retrieval import bow_vector, circle, scores_of, small_integer_points
 from test_solver import random_state
 
 
@@ -191,32 +190,32 @@ def test_criterion_7_feasibility_trend(benchmark_run):
 
 
 def test_criterion_8_retrieval_formulas():
-    rng = np.random.default_rng(88)
-    # exact endpoints of the rank formula
-    d = rng.uniform(1.0, 2.0, (100, 100))
-    np.fill_diagonal(d, 0.0)
-    best = aroc(d, 3)
-    np.fill_diagonal(d, 5.0)
-    worst_case = aroc(d, 3)
-    endpoints_ok = best == 100.0 and worst_case == 0.0
+    # the scores pairs.csv writes, on views that hold the projections
+    # themselves (each factor the identity)
+    ring = circle(100)
+    best = scores_of([ring, ring])
+    worst = scores_of([ring, -ring])
+    endpoints = ((best.mean_aroc, best.mean_nn_freq),
+                 (worst.mean_aroc, worst.mean_nn_freq))
+    endpoints_ok = endpoints == ((100.0, 100.0), (0.0, 0.0))
 
-    nn_ok = True
-    for trial in range(50):
-        dmat = np.random.default_rng(8800 + trial).uniform(0, 1, (30, 30))
-        count = sum(1 for ell in range(30)
-                    if all(dmat[ell, m] >= dmat[ell, ell] for m in range(30)))
-        if nn_freq(dmat) != pytest.approx(100.0 * count / 30):
-            nn_ok = False
+    # every point twice: each true match ties with its duplicate
+    twice = np.tile(ring, (2, 1))
+    tie = scores_of([twice, twice])
+    tie_ok = (tie.mean_aroc, tie.mean_nn_freq) == (100.0, 100.0)
 
-    x = rng.standard_normal((10, 6))
-    views = [SparseView(x), SparseView(x)]
-    factors = [rng.standard_normal((6, 3))] * 2
-    result = evaluate_pairs(views, factors)
-    identical_ok = (result.mean_aroc == pytest.approx(100.0)
-                    and result.mean_nn_freq == pytest.approx(100.0))
-    report(8, endpoints_ok and nn_ok and identical_ok,
-           f"endpoints {best}/{worst_case}, nn brute-force match {nn_ok}, "
-           f"identical views {result.mean_aroc:.1f}/{result.mean_nn_freq:.1f}")
+    oracle_ok = True
+    for trial in range(30):
+        points = small_integer_points(np.random.default_rng(8800 + trial))
+        want = retrieval_scores(points)
+        for p in scores_of(points).pairs:
+            aroc, nn = want[p.query_view, p.gallery_view]
+            if (p.aroc != pytest.approx(aroc, rel=1e-12)
+                    or p.nn_freq != pytest.approx(nn, rel=1e-12)):
+                oracle_ok = False
+    report(8, endpoints_ok and tie_ok and oracle_ok,
+           f"identical/antipodal views {endpoints}, ties to the true "
+           f"match {tie_ok}, brute-force ranks match {oracle_ok}")
 
 
 def test_criterion_9_hashing_unbiased():

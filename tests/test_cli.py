@@ -284,6 +284,12 @@ DEGENERATE_SOLVES = {
     # X^T X overflows in the first Lanczos product, before ARPACK sees it
     "gram_overflows": ((6, 6), 2, lambda x: np.multiply(x, 1e200, out=x), 3,
                        "Gram product X^T X v for sigma_max^2 overflowed"),
+    # sigma^2 is subnormal, so the step overflows
+    "step_overflows": ((6, 6), 2, lambda x: np.multiply(x, 1e-160, out=x), 3,
+                       "the step size of view 0 overflows"),
+    # every squared entry, so every Gram product, underflows to 0
+    "gram_underflows": ((6, 6), 2, lambda x: np.multiply(x, 1e-300, out=x),
+                        3, "every squared entry of the view underflows"),
 }
 
 

@@ -465,6 +465,13 @@ class TestSpectralNorm:
         with pytest.raises(NumericError, match=re.escape(gram) + " v"):
             spectral_norm_sq(SparseView(x))
 
+    # every squared entry underflows to 0, so every Gram product does
+    @pytest.mark.parametrize("shape", [(20, 6), (6, 20), (20, 1), (1, 20)])
+    def test_underflowing_entries_named(self, shape):
+        x = 1e-170 * np.random.default_rng(14).standard_normal(shape)
+        with pytest.raises(NumericError, match="underflows to 0.*too small"):
+            spectral_norm_sq(SparseView(x))
+
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _MM_BANNER = MM_HEADER + "\n"
@@ -489,6 +496,9 @@ MALFORMED_MTX = {
     "all_caps_banner": _MM_BANNER.upper() + "2 2 1\n1 1 1.5\n",
     "empty": "",
     "junk_banner": "not a matrix\n2 2 1\n1 1 1.5\n",
+    # past the 64-bit range, where scipy's reader raises OverflowError
+    "size_overflow": _MM_BANNER + "99999999999999999999 3 1\n1 1 1.5\n",
+    "index_overflow": _MM_BANNER + "2 3 1\n1 -99999999999999999999 1.5\n",
 }
 
 
@@ -559,6 +569,13 @@ class TestMatrixMarketIO:
         path = tmp_path / "v.mtx"
         path.write_text(MALFORMED_MTX[name], encoding="ascii")
         with pytest.raises(ValueError):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("name", ["size_overflow", "index_overflow"])
+    def test_overflow_named(self, tmp_path, name):
+        path = tmp_path / "v.mtx"
+        path.write_text(MALFORMED_MTX[name], encoding="ascii")
+        with pytest.raises(ValueError, match="out of range"):
             load_matrix_market(path)
 
     def test_comments_skipped_and_zeros_kept(self, tmp_path):

@@ -6,10 +6,11 @@ import scipy.sparse as sp
 
 from mvcca import retrieval
 from mvcca.linalg import SparseView
-from mvcca.retrieval import (HashSpec, aroc, cross_distances, evaluate_pairs,
-                             hash_corpus, nn_freq, project, split_rows)
+from mvcca.errors import InputError
+from mvcca.retrieval import (HashSpec, cross_distances, evaluate_pairs,
+                             hash_corpus, project, split_rows)
 
-from oracles import hashed_rows, materialize
+from oracles import hashed_rows, match_ranks, materialize, retrieval_scores
 
 
 def hash_row(tokens, spec):
@@ -317,76 +318,112 @@ class TestCrossDistances:
             cross_distances(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
-def matrix_with_rank(size, query, rank, rng):
-    """Distance matrix whose query row puts the true match at the rank."""
-    d = rng.uniform(1.0, 2.0, (size, size))
-    row = np.full(size, 10.0)
-    row[query] = 5.0
-    smaller = [m for m in range(size) if m != query][:rank - 1]
-    for m in smaller:
-        row[m] = 1.0
-    d[query] = row
-    return d
+def scores_of(points):
+    """``evaluate_pairs`` on views that hold the given projections
+    themselves: each view is its points and each factor the identity."""
+    width = points[0].shape[1]
+    return evaluate_pairs([SparseView(p) for p in points],
+                          [np.eye(width)] * len(points))
+
+
+def circle(n, turn=0.0):
+    """n points evenly spaced on the unit circle, rotated by ``turn``
+    of the spacing."""
+    angle = 2.0 * np.pi * (np.arange(n) + turn) / n
+    return np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+def small_integer_points(rng, views=3, rows=30, width=3):
+    """Projections with entries in {-2, ..., 2}, so that many distances
+    are equal."""
+    return [rng.integers(-2, 3, (rows, width)).astype(float)
+            for _ in range(views)]
+
+
+def score_table(result):
+    return {(p.query_view, p.gallery_view): (p.aroc, p.nn_freq)
+            for p in result.pairs}
 
 
 class TestAroc:
     def test_best_rank(self):
-        d = matrix_with_rank(100, 0, 1, np.random.default_rng(9))
-        assert aroc(d, 0) == pytest.approx(100.0)
+        ring = circle(100)
+        result = scores_of([ring, ring])
+        assert set(score_table(result).values()) == {(100.0, 100.0)}
 
     def test_worst_rank(self):
-        d = matrix_with_rank(100, 0, 100, np.random.default_rng(10))
-        assert aroc(d, 0) == pytest.approx(0.0)
+        # every other point is closer to a point than its antipode
+        ring = circle(100)
+        result = scores_of([ring, -ring])
+        assert set(score_table(result).values()) == {(0.0, 0.0)}
 
     def test_midpoint(self):
-        d = matrix_with_rank(101, 0, 51, np.random.default_rng(11))
-        assert aroc(d, 0) == pytest.approx(50.0)
+        # x_r = r against y_r = -r: the true match lies at 2r and the r
+        # candidates c < r lie closer, so the ranks run through 1 .. n
+        line = np.arange(101.0)[:, None]
+        result = scores_of([line, -line])
+        for aroc, nn in score_table(result).values():
+            assert aroc == pytest.approx(50.0)
+            assert nn == pytest.approx(100.0 / 101)
 
     def test_tie_goes_to_true_match(self):
-        d = np.full((3, 3), 1.0)
-        assert aroc(d, 0) == pytest.approx(100.0)
+        # every point twice: each true match ties with its duplicate
+        rng = np.random.default_rng(9)
+        twice = np.tile(rng.standard_normal((10, 3)), (2, 1))
+        result = scores_of([twice, twice, twice])
+        assert set(score_table(result).values()) == {(100.0, 100.0)}
 
     def test_requires_two_rows(self):
-        with pytest.raises(ValueError, match="two rows"):
-            aroc(np.array([[0.0]]), 0)
+        with pytest.raises(InputError, match="two aligned rows"):
+            scores_of([np.ones((1, 2)), np.ones((1, 2))])
 
     def test_invariant_under_monotone_transform(self):
+        # scaling every projection by s maps each distance d to s * d
         rng = np.random.default_rng(12)
-        d = rng.uniform(0.1, 5.0, (20, 20))
-        for q in range(20):
-            assert aroc(d, q) == pytest.approx(aroc(np.exp(d), q))
+        points = [rng.standard_normal((20, 3)) for _ in range(3)]
+        base = scores_of(points)
+        for s in (2.0 ** -30, 7.0, 1e3):
+            assert scores_of([s * p for p in points]) == base
 
 
 class TestNnFreq:
     def test_all_diagonals_smallest(self):
-        rng = np.random.default_rng(13)
-        d = rng.uniform(1.0, 2.0, (10, 10))
-        np.fill_diagonal(d, 0.0)
-        assert nn_freq(d) == pytest.approx(100.0)
+        # grid points at unit spacing against copies moved by 0.1
+        grid = np.array([(a, b) for a in range(5) for b in range(5)], float)
+        result = scores_of([grid, grid + 0.1])
+        assert set(score_table(result).values()) == {(100.0, 100.0)}
 
     def test_no_diagonal_smallest(self):
-        rng = np.random.default_rng(14)
-        d = rng.uniform(1.0, 2.0, (10, 10))
-        np.fill_diagonal(d, 5.0)
-        assert nn_freq(d) == pytest.approx(0.0)
+        # turned by 0.6 of the spacing, each point's neighbour on one
+        # side lies 0.4 away and its true match 0.6: every rank is 2
+        result = scores_of([circle(100), circle(100, turn=0.6)])
+        for aroc, nn in score_table(result).values():
+            assert nn == 0.0
+            assert aroc == pytest.approx(100.0 * 98 / 99)
 
     def test_matches_bruteforce_count(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            d = rng.uniform(0.0, 1.0, (10, 10))
-            count = 0
-            for ell in range(10):
-                if all(d[ell, m] >= d[ell, ell] for m in range(10)):
-                    count += 1
-            assert nn_freq(d) == pytest.approx(100.0 * count / 10)
+        for _ in range(30):
+            points = small_integer_points(rng)
+            want = retrieval_scores(points)
+            got = score_table(scores_of(points))
+            assert got.keys() == want.keys()
+            for pair, (aroc, nn) in want.items():
+                assert got[pair][0] == pytest.approx(aroc, rel=1e-12)
+                assert got[pair][1] == pytest.approx(nn, rel=1e-12)
 
     def test_perfect_rank_subset_of_aroc_perfect(self):
+        # a query of rank 1 scores AROC 100, so a pair's AROC is at
+        # least its NN frequency, and all queries are of rank 1 exactly
+        # when the AROC is 100
         rng = np.random.default_rng(16)
-        d = rng.uniform(0.0, 1.0, (15, 15))
-        for ell in range(15):
-            row = d[ell]
-            if np.all(row >= row[ell]):
-                assert aroc(d, ell) == pytest.approx(100.0)
+        twice = np.tile(rng.standard_normal((8, 2)), (2, 1))
+        cases = [small_integer_points(rng) for _ in range(10)]
+        cases += [[twice, twice], [twice, twice + 1e-3]]
+        for points in cases:
+            for aroc, nn in score_table(scores_of(points)).values():
+                assert aroc >= nn
+                assert (nn == 100.0) == (aroc == 100.0)
 
 
 class TestEvaluatePairs:
@@ -445,10 +482,8 @@ class TestBlockedRanks:
         # slabs of 4, 4 and 3 rows
         monkeypatch.setattr(retrieval, "_SLAB_ENTRIES", 4 * 11)
         ranks = retrieval._ordered_ranks([a, b])
-        np.testing.assert_array_equal(ranks[0, 1],
-                                      1 + (full < true[:, None]).sum(axis=1))
-        np.testing.assert_array_equal(ranks[1, 0],
-                                      1 + (full < true[None, :]).sum(axis=0))
+        np.testing.assert_array_equal(ranks[0, 1], match_ranks(a, b))
+        np.testing.assert_array_equal(ranks[1, 0], match_ranks(b, a))
 
     @staticmethod
     def tie_heavy_problem():

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import mvcca.regularizers as rg
 import mvcca.solver as solver
+from mvcca.errors import NumericError
 from mvcca.linalg import (SparseView, narrow_columns, spectral_norm_sq,
                           spmm_right)
 from mvcca.solver import (EmptyViewError, RegularityError, SolverConfig,
@@ -14,6 +15,7 @@ from mvcca.solver import (EmptyViewError, RegularityError, SolverConfig,
                           grad_q, init_random, lagrangian_value,
                           primal_residual, run_pdd, run_subsolver,
                           step_size, update_g, update_q, validate_dimensions)
+from mvcca.synth import SynthSpec, gen_shared_factor
 
 from oracles import (fd_gradient, g_subproblem_objective, lagrangian_scalar,
                      materialize, random_stiefel, smooth_block_objective)
@@ -137,6 +139,14 @@ class TestStepSize:
         state = self._state_with_sigma([0.0, 1.0])
         with pytest.raises(EmptyViewError, match="empty view"):
             step_size(0, state)
+
+    def test_subnormal_sigma_overflows_step(self):
+        # 0.9 / (2 * 1e-310) is past the largest double
+        state = self._state_with_sigma([1e-310, 1.0])
+        with pytest.raises(NumericError,
+                           match="step size of view 0 overflows.*too small"):
+            step_size(0, state)
+        assert step_size(1, state) == pytest.approx(0.45)
 
     def test_sigma_not_cached(self):
         state = self._state_with_sigma([1.0, 1.0])
@@ -636,6 +646,19 @@ class TestDataLessColumns:
         with pytest.raises(RegularityError,
                            match=r"mean feature count 2 < \(K\+1\)/2 = 3"):
             run_pdd(views, replace(self.CFG, k=5))
+
+
+class TestViewScale:
+    # three 400 x 30 views scaled by s: the extremes of scale that still
+    # solve; past them test_cli.DEGENERATE_SOLVES pins the exit 3 messages
+    @pytest.mark.parametrize("s", [1e-155, 1e150])
+    def test_solves(self, s):
+        views = gen_shared_factor(SynthSpec(rows=400, features=30, views=3,
+                                            components=3, density=0.1,
+                                            seed=1))
+        state, _ = run_pdd([SparseView(v.raw * s) for v in views],
+                           SolverConfig(k=3, outer_max=5, seed=1))
+        assert all(np.all(np.isfinite(q)) for q in state.q)
 
 
 # the fixed-penalty ADMM baseline: one sweep and a dual step per cycle
